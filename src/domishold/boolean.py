@@ -1,16 +1,18 @@
 """Positive Boolean functions as prime-implicant antichains, summability
 oracles, and threshold recognition producing integral separating structures.
 
-Recognition follows the dualization + linear programming route: the prime
-implicants bound the true side, the maximal false points (complements of the
-dual's prime implicants) bound the false side, and an exact rational LP
-decides feasibility of integral weights.
+Recognition is polynomial and never dualizes: the strength order of the
+variables either exposes an incomparable pair (a 2-summability witness) or
+makes the function regular; the maximal false points of a regular function
+are then read off its implicants by shifting, and a small exact LP with one
+column per class of equally strong variables decides the weights. Berge
+dualization (``dual``, ``maximal_false_points``) and the exhaustive
+``is_k_summable`` stay as independent oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb, lcm
 from typing import Iterable, Optional, Sequence
@@ -20,7 +22,6 @@ from .hypergraphs import DEFAULT_DUAL_CAP, Hypergraph, _minimal_sets, minimal_tr
 from .lp import lp_feasible
 
 SUMMABILITY_WORK_CAP = 5_000_000
-WITNESS_VAR_BOUND = 10  # search 2-summability witnesses up to this many variables
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,7 @@ def verify_separating_structure(
         raise CapabilityError(f"exhaustive verification capped at {max_n} variables")
     if len(s.weights) != f.n or s.t < 0 or any(w < 0 for w in s.weights):
         return False
-    imp_masks = [sum(1 << v for v in t) for t in f.implicants]
+    imp_masks = [_mask(t) for t in f.implicants]
     totals = [0] * (1 << f.n)
     for mask in range(1, 1 << f.n):
         low = mask & -mask
@@ -187,9 +188,11 @@ def is_k_summable(
 
 @dataclass(frozen=True)
 class ThresholdReport:
-    """Outcome of threshold recognition: a verifying structure on yes, an LP
-    infeasibility verdict (plus a summability witness when the oracle finds
-    one) on no."""
+    """Outcome of threshold recognition. ``reason`` names the path taken:
+    ``separating-structure`` (yes, with an integral structure),
+    ``non-regular`` (no, with a 2-summability witness), ``lp-infeasible``
+    (no: the function is regular but no weights separate it) or
+    ``constant-one``."""
 
     is_threshold: bool
     structure: Optional[SeparatingStructure]
@@ -197,70 +200,159 @@ class ThresholdReport:
     reason: str
 
 
-@lru_cache(maxsize=None)
-def _lp_structure(
-    n: int, implicants: tuple[frozenset[int], ...], cap: int
-) -> Optional[SeparatingStructure]:
-    """Solve the separating-structure LP for a non-constant antichain."""
-    false_pts = maximal_false_points(PositiveDNF(n, implicants), cap)
-    constraints = []
-    for p in implicants:
-        coeffs = [1 if i in p else 0 for i in range(n)] + [-1]
-        constraints.append((coeffs, ">=", 1))
-    for fp in false_pts:
-        coeffs = [1 if i in fp else 0 for i in range(n)] + [-1]
-        constraints.append((coeffs, "<=", 0))
-    point = lp_feasible(n + 1, constraints, nonneg=True)
-    if point is None:
-        return None
-    scale = lcm(*(v.denominator for v in point))
-    ints = [int(v * scale) for v in point]
-    return SeparatingStructure(tuple(ints[:n]), ints[n])
+def is_threshold(f: PositiveDNF) -> ThresholdReport:
+    """Decide thresholdness of a positive function given by its complete DNF,
+    in time polynomial in n and the number of prime implicants.
 
+    Only the relevant variables (those in some implicant) take part;
+    irrelevant ones get weight 0. Variable i is at least as strong as k when
+    T-k+i is true for every implicant T containing k but not i.
 
-@lru_cache(maxsize=None)
-def _two_summability_witness(
-    n: int, implicants: tuple[frozenset[int], ...]
-) -> Optional[SummabilityWitness]:
-    if n > WITNESS_VAR_BOUND:
-        return None
-    try:
-        return is_k_summable(PositiveDNF(n, implicants), 2)
-    except CapabilityError:
-        return None
+    1. Strength order. Variables are sorted strongest first by their Winder
+       profile (the number of implicants of each size containing them, small
+       sizes first), which every strength relation respects, and each
+       adjacent pair is checked. An incomparable pair i, k yields implicants
+       T, T' with T-k+i and T'-i+k false: equal sums, so a 2-summability
+       witness and no LP.
+    2. Candidate false points. In the order of a regular function, every
+       maximal false point is (T & earlier(k)) | later(k) for an implicant T
+       and some k in T (Peled & Simeone 1985; Crama 1987).
+    3. Small LP. Equally strong variables share one weight and weights fall
+       along the order, so w_c = u_c + ... + u_r with u >= 0 and a point
+       weighs sum_d u_d * (its prefix count through class d). Only the floors
+       (implicants with minimal prefix counts) and the ceilings (false
+       candidates with maximal prefix counts) become rows.
 
-
-def is_threshold(
-    f: PositiveDNF,
-    dual_cap: int = DEFAULT_DUAL_CAP,
-    want_witness: bool = True,
-) -> ThresholdReport:
-    """Decide thresholdness of a positive function given by its complete DNF.
-
-    Feasibility of non-negative weights w and threshold t with every prime
-    implicant weighing at least t+1 and every maximal false point at most t
-    is decided by exact LP; a feasible rational point is scaled to an
-    integral separating structure. Constant 0 is threshold with the all-zero
-    structure. Constant 1 admits no structure with a non-negative threshold
-    (the zero point would have to be false) and is reported as a special
-    non-threshold verdict without running the LP.
-
-    Raises CapabilityError when the dualization cap is exceeded; no verdict
-    is guessed in that case.
+    Constant 0 is threshold with the all-zero structure. Constant 1 admits
+    no structure with a non-negative threshold (the zero point would have to
+    be false) and is reported as a special non-threshold verdict.
     """
     if f.is_constant_one():
         return ThresholdReport(False, None, None, "constant-one")
     if f.is_constant_zero():
-        structure = SeparatingStructure((0,) * f.n, 0)
-        return ThresholdReport(True, structure, None, "separating-structure")
-    structure = _lp_structure(f.n, f.implicants, dual_cap)
-    if structure is not None:
-        return ThresholdReport(True, structure, None, "separating-structure")
-    witness = _two_summability_witness(f.n, f.implicants) if want_witness else None
-    return ThresholdReport(False, None, witness, "lp-infeasible")
+        return ThresholdReport(True, SeparatingStructure((0,) * f.n, 0), None, "separating-structure")
+    classes = _strength_classes(f)
+    if isinstance(classes, SummabilityWitness):
+        return ThresholdReport(False, None, classes, "non-regular")
+    structure = _regular_structure(f, classes)
+    if structure is None:
+        return ThresholdReport(False, None, None, "lp-infeasible")
+    return ThresholdReport(True, structure, None, "separating-structure")
 
 
-def threshold_in_td_sense(f: PositiveDNF, dual_cap: int = DEFAULT_DUAL_CAP) -> bool:
+def _mask(vertices: Iterable[int]) -> int:
+    return sum(1 << v for v in vertices)
+
+
+def _bits(n: int, mask: int) -> tuple[int, ...]:
+    return tuple(mask >> i & 1 for i in range(n))
+
+
+def _strength_classes(f: PositiveDNF) -> list[list[int]] | SummabilityWitness:
+    """The relevant variables of a non-constant f strongest first, in
+    classes of equally strong ones; or, if two variables i, k are
+    incomparable, the witness made of implicants T, T' and the false points
+    T-k+i, T'-i+k.
+
+    If k is at least as strong as i, the swap T -> T-i+k maps the implicants
+    of each size containing i but not k into those containing k but not i,
+    size class by size class, so k's profile is lexicographically at least
+    i's, with equality only for equally strong variables. Hence checking the
+    adjacent pairs of the profile order decides the whole relation, and a
+    failed adjacent check fails in both directions.
+    """
+    containing: dict[int, list[int]] = {}
+    for t in f.implicants:
+        mask = _mask(t)
+        for v in t:
+            containing.setdefault(v, []).append(mask)
+    longest = max(len(t) for t in f.implicants)
+
+    def profile(v: int) -> tuple[int, ...]:
+        counts = [0] * (longest + 1)
+        for t in containing[v]:
+            counts[t.bit_count()] += 1
+        return tuple(counts)
+
+    profiles = {v: profile(v) for v in containing}
+    chain = sorted(containing, key=lambda v: (tuple(-c for c in profiles[v]), v))
+    classes = [[chain[0]]]
+    for i, k in zip(chain, chain[1:]):
+        t = _swap_failure(containing, i, k)
+        if t is not None:
+            t2 = _swap_failure(containing, k, i)
+            return SummabilityWitness(
+                (_bits(f.n, t ^ (1 << k) | (1 << i)), _bits(f.n, t2 ^ (1 << i) | (1 << k))),
+                (_bits(f.n, t), _bits(f.n, t2)),
+            )
+        if profiles[i] == profiles[k]:
+            classes[-1].append(k)
+        else:
+            classes.append([k])
+    return classes
+
+
+def _regular_structure(f: PositiveDNF, classes: list[list[int]]) -> Optional[SeparatingStructure]:
+    """Solve the floors/ceilings LP of a regular f, whose relevant variables
+    are given strongest first in classes of equally strong ones."""
+    chain = [v for c in classes for v in c]
+    pos = {v: p for p, v in enumerate(chain)}
+    points = [_mask(pos[v] for v in t) for t in f.implicants]  # bit p = chain[p]
+    full = (1 << len(chain)) - 1
+    candidates = {
+        t & ((1 << p) - 1) | full & ~((2 << p) - 1)
+        for t in points
+        for p in range(len(chain))
+        if t >> p & 1
+    }
+    ceilings = [c for c in candidates if not any(t & c == t for t in points)]
+    ends, end = [], 0
+    for c in classes:
+        end += len(c)
+        ends.append((1 << end) - 1)
+
+    def prefix(point: int) -> tuple[int, ...]:
+        return tuple((point & e).bit_count() for e in ends)
+
+    rows = [([*v, -1], ">=", 1) for v in _extreme_vectors(map(prefix, points), lowest=True)]
+    rows += [([*v, -1], "<=", 0) for v in _extreme_vectors(map(prefix, ceilings), lowest=False)]
+    solution = lp_feasible(len(classes) + 1, rows, nonneg=True)
+    if solution is None:
+        return None
+    scale = lcm(*(x.denominator for x in solution))
+    weights = [0] * f.n
+    w = 0
+    for c in reversed(range(len(classes))):
+        w += int(solution[c] * scale)
+        for v in classes[c]:
+            weights[v] = w
+    return SeparatingStructure(tuple(weights), int(solution[-1] * scale))
+
+
+def _swap_failure(containing: dict[int, list[int]], i: int, k: int) -> Optional[int]:
+    """An implicant T with k in T, i not in T and T-k+i false, or None when
+    i is at least as strong as k. T is prime, so T-k is false and only
+    implicants containing i can make T-k+i true."""
+    bi, bk = 1 << i, 1 << k
+    for t in containing[k]:
+        if not t & bi:
+            p = t ^ bk | bi
+            if not any(s & p == s for s in containing[i]):
+                return t
+    return None
+
+
+def _extreme_vectors(vectors: Iterable[tuple[int, ...]], lowest: bool) -> list[tuple[int, ...]]:
+    """The componentwise minimal (``lowest``) or maximal distinct vectors."""
+    sign = 1 if lowest else -1
+    kept: list[tuple[int, ...]] = []
+    for v in sorted(set(vectors), key=lambda v: sign * sum(v)):
+        if not any(all(sign * (a - b) <= 0 for a, b in zip(k, v)) for k in kept):
+            kept.append(v)
+    return kept
+
+
+def threshold_in_td_sense(f: PositiveDNF) -> bool:
     """Thresholdness with the total-domination reading of the degenerate
     constant-1 case.
 
@@ -271,4 +363,4 @@ def threshold_in_td_sense(f: PositiveDNF, dual_cap: int = DEFAULT_DUAL_CAP) -> b
     """
     if f.is_constant_one():
         return True
-    return is_threshold(f, dual_cap, want_witness=False).is_threshold
+    return is_threshold(f).is_threshold

@@ -90,14 +90,9 @@ def cmd_recognize_td(args) -> int:
     report = _report_skeleton(args)
     start = time.monotonic()
     G = _load_graph(args.path)
-    result = recognize_td(G, dual_cap=args.cap_dual)
+    result = recognize_td(G)
     report["elapsed_ms"] = int((time.monotonic() - start) * 1000)
     human = [f"total domishold: {result.verdict}"]
-    if result.verdict is None:
-        report["error"] = result.note
-        human.append(result.note)
-        _emit(args, report, human)
-        return EXIT_ERROR
     report["verdict"] = result.verdict
     if result.structure is not None:
         report["structure"] = _structure_dict(result.structure)
@@ -150,10 +145,6 @@ def cmd_solve(args) -> int:
     human: list[str] = []
     if args.tds:
         rec = recognize_td(G)
-        if rec.verdict is None:
-            report["error"] = rec.note
-            emit([rec.note])
-            return EXIT_ERROR
         if not rec.verdict:
             report["verdict"] = False
             human.append("graph is not total domishold")
@@ -220,7 +211,7 @@ def cmd_hypergraph(args) -> int:
             report["elapsed_ms"] = int((time.monotonic() - start) * 1000)
             _emit(args, report, human)
             return EXIT_YES
-        result = is_threshold(f, dual_cap=args.cap_dual)
+        result = is_threshold(f)
         report["verdict"] = result.is_threshold
         human.append(f"threshold: {result.is_threshold}")
         if result.structure is not None:
@@ -281,19 +272,32 @@ def cmd_equivalence(args) -> int:
     report["legs"] = chain.as_dict()
     report["verdict"] = chain.unanimous()
     report["elapsed_ms"] = int((time.monotonic() - start) * 1000)
-    marks = "  ".join(
-        f"({name}) {'?' if leg is None else '+' if leg else '-'}"
-        for name, leg in chain.as_dict().items()
-    )
+    marks = "  ".join(f"({name}) {'+' if leg else '-'}" for name, leg in chain.as_dict().items())
     _emit(args, report, [marks, f"unanimous: {chain.unanimous()}"])
     return EXIT_YES if chain.unanimous() else EXIT_ERROR
 
 
 def cmd_verify(args) -> int:
     """Re-verify the certificates of an emitted JSON report against the
-    original input file."""
+    original input file. Malformed report content is an error (exit 2)."""
     text = Path(args.path).read_text(encoding="utf-8")
     report = json.loads(Path(args.report).read_text(encoding="utf-8"))
+    try:
+        checks = _report_checks(text, report)
+    except (AttributeError, IndexError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed report: {type(exc).__name__}: {exc}") from exc
+    if not checks:
+        print("no certificates to verify")
+        return EXIT_ERROR
+    ok = True
+    for name, passed in checks:
+        print(f"{name}: {'ok' if passed else 'FAILED'}")
+        ok = ok and passed
+    return EXIT_YES if ok else EXIT_ERROR
+
+
+def _report_checks(text: str, report: dict) -> list[tuple[str, bool]]:
+    """Check every certificate of the report; each check is named."""
     is_hypergraph = any(
         line.strip().startswith("p hgraph") for line in text.splitlines()
     )
@@ -333,19 +337,15 @@ def cmd_verify(args) -> int:
                     ("summability witness", verify_summability_witness(neighborhood_dnf(G), w))
                 )
             elif kind == "forbidden_subgraph":
+                index = report["witness"]["index"]
+                if not 1 <= index <= len(forbidden_catalog()):
+                    raise ValueError(f"malformed report: no catalog graph F{index}")
                 image = tuple(v - 1 for v in report["witness"]["embedding"])
-                pattern = forbidden_catalog()[report["witness"]["index"] - 1].graph
+                pattern = forbidden_catalog()[index - 1].graph
                 checks.append(
                     ("forbidden subgraph embedding", is_induced_embedding(G, pattern, image))
                 )
-    if not checks:
-        print("no certificates to verify")
-        return EXIT_ERROR
-    ok = True
-    for name, passed in checks:
-        print(f"{name}: {'ok' if passed else 'FAILED'}")
-        ok = ok and passed
-    return EXIT_YES if ok else EXIT_ERROR
+    return checks
 
 
 def _witness_from_dict(d: dict) -> SummabilityWitness:
@@ -378,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--oracle", action="store_true", help="exhaustively re-verify the structure")
     p.add_argument("--max-oracle-n", type=int, default=16)
-    p.add_argument("--cap-dual", type=int, default=200_000)
     _add_common(p)
     p.set_defaults(func=cmd_recognize_td)
 
@@ -402,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--threshold", action="store_true")
     group.add_argument("--dually-sperner", action="store_true")
-    p.add_argument("--cap-dual", type=int, default=200_000)
     _add_common(p)
     p.set_defaults(func=cmd_hypergraph)
 

@@ -83,7 +83,7 @@ def grow_td_graph(
     base = rng.choice(
         [complete(2), complete(3), path(3), star(2), star(3), complete(4)]
     )
-    report = recognize_td(base, want_witness=False)
+    report = recognize_td(base)
     assert report.verdict and report.structure is not None
     G, s = base, report.structure
     while True:

@@ -44,10 +44,13 @@ def lp_feasible(
     senses: list[str] = []
     rhs: list[int] = []
     for coeffs, sense, b in constraints:
-        frac = [Fraction(c) for c in coeffs]
-        fb = Fraction(b)
-        scale = lcm(fb.denominator, *(c.denominator for c in frac)) if frac else fb.denominator
-        ints = [int(c * scale) for c in frac]
+        if isinstance(b, int) and all(isinstance(c, int) for c in coeffs):
+            ints = list(coeffs)
+        else:
+            frac = [Fraction(c) for c in coeffs]
+            fb = Fraction(b)
+            scale = lcm(fb.denominator, *(c.denominator for c in frac))
+            ints, b = [int(c * scale) for c in frac], int(fb * scale)
         if nonneg:
             row = ints
         else:
@@ -56,7 +59,7 @@ def lp_feasible(
                 row += [a, -a]
         rows.append(row)
         senses.append(sense)
-        rhs.append(int(fb * scale))
+        rhs.append(b)
 
     point = _phase1(ncols, rows, senses, rhs)
     if point is None:

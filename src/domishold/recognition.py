@@ -21,7 +21,6 @@ from .boolean import (
 from .errors import CapabilityError
 from .graphs import Graph, add_universal, disjoint_union, find_induced
 from .hypergraphs import (
-    DEFAULT_DUAL_CAP,
     Hypergraph,
     neighborhood_split_graph,
     reduced_neighborhood_hypergraph,
@@ -43,11 +42,10 @@ class TdStructure:
 @dataclass(frozen=True)
 class TdRecognitionReport:
     """verdict True carries a verifying structure; verdict False carries
-    negative evidence (an LP infeasibility note, plus a summability witness
-    on the neighborhood function when one was found); verdict None means the
-    answer is unknown because a capability cap was hit."""
+    negative evidence: the note ``non-regular`` with a 2-summability witness
+    on the neighborhood function, or the note ``lp-infeasible``."""
 
-    verdict: Optional[bool]
+    verdict: bool
     structure: Optional[TdStructure]
     witness: Optional[SummabilityWitness]
     note: str
@@ -69,30 +67,27 @@ def neighborhood_dnf(G: Graph) -> PositiveDNF:
     return make_dnf(G.n, [G.adj[v] for v in range(G.n)])
 
 
-def recognize_td(
-    G: Graph, want_witness: bool = True, dual_cap: int = DEFAULT_DUAL_CAP
-) -> TdRecognitionReport:
+def recognize_td(G: Graph, want_witness: bool = True) -> TdRecognitionReport:
     """Decide whether G is total domishold; synthesize an integral structure.
 
     Graphs with an isolated vertex have no total dominating sets and get the
-    all-ones structure with threshold n+1. Otherwise a separating structure
-    (w, t) of the neighborhood function is computed by exact LP and converted
-    to the total domishold structure (w, sum(w) - t). Capability caps
-    surface as an unknown verdict, never a wrong one.
+    all-ones structure with threshold n+1. Otherwise the neighborhood
+    function is tested by ``is_threshold``; a separating structure (w, t) is
+    converted to the total domishold structure (w, sum(w) - t), and a no
+    carries the reason (``non-regular`` with a 2-summability witness, or
+    ``lp-infeasible``). ``want_witness=False`` leaves the witness out of the
+    report.
     """
     if G.has_isolated_vertex():
         structure = TdStructure((1,) * G.n, G.n + 1)
         return TdRecognitionReport(True, structure, None, "isolated-vertex")
-    f = neighborhood_dnf(G)
-    try:
-        report = is_threshold(f, dual_cap=dual_cap, want_witness=want_witness)
-    except CapabilityError as exc:
-        return TdRecognitionReport(None, None, None, f"unknown: {exc}")
+    report = is_threshold(neighborhood_dnf(G))
     if report.is_threshold:
         s = report.structure
         structure = TdStructure(s.weights, sum(s.weights) - s.t)
         return TdRecognitionReport(True, structure, None, "separating-structure")
-    return TdRecognitionReport(False, None, report.witness, "lp-infeasible")
+    witness = report.witness if want_witness else None
+    return TdRecognitionReport(False, None, witness, report.reason)
 
 
 def verify_td_structure(G: Graph, s: TdStructure, max_n: int = VERIFY_CAP) -> bool:
@@ -257,18 +252,16 @@ class EquivalenceReport:
     function is threshold; (iv) the hypergraph of that DNF is threshold;
     (v) the reduced neighborhood hypergraph is threshold; (vi) the
     split-incidence graph of that hypergraph is total domishold; (vii) the
-    derived neighborhood split graph is total domishold. None marks a leg
-    that hit a capability cap."""
+    derived neighborhood split graph is total domishold."""
 
-    legs: tuple[Optional[bool], ...]
+    legs: tuple[bool, ...]
 
     ROMAN = ("i", "ii", "iii", "iv", "v", "vi", "vii")
 
     def unanimous(self) -> bool:
-        decided = [leg for leg in self.legs if leg is not None]
-        return all(decided) or not any(decided)
+        return all(self.legs) or not any(self.legs)
 
-    def as_dict(self) -> dict[str, Optional[bool]]:
+    def as_dict(self) -> dict[str, bool]:
         return dict(zip(self.ROMAN, self.legs))
 
 
@@ -277,30 +270,21 @@ def check_equivalence_chain(G: Graph) -> EquivalenceReport:
     paths. The thresholdness legs use the total-domination reading of the
     degenerate constant-1 case (graphs with isolated vertices), matching the
     recognizer's isolated-vertex short circuit."""
-    legs: list[Optional[bool]] = []
-
-    def run(compute) -> None:
-        try:
-            legs.append(compute())
-        except CapabilityError:
-            legs.append(None)
-
     f = neighborhood_dnf(G)
     rn = reduced_neighborhood_hypergraph(G)
-    run(lambda: recognize_td(G, want_witness=False).verdict)
-    run(lambda: threshold_in_td_sense(make_dnf(G.n, [G.adj[v] for v in range(G.n)])))
-    run(lambda: threshold_in_td_sense(PositiveDNF(f.n, f.implicants)))
-    run(lambda: threshold_in_td_sense(dnf_of_hypergraph(Hypergraph(f.n, f.implicants))))
-    run(lambda: threshold_in_td_sense(dnf_of_hypergraph(rn)))
-    run(lambda: recognize_td(split_incidence_graph(rn)[0], want_witness=False).verdict)
-    run(lambda: recognize_td(neighborhood_split_graph(G), want_witness=False).verdict)
-    return EquivalenceReport(tuple(legs))
+    legs = (
+        recognize_td(G).verdict,
+        threshold_in_td_sense(make_dnf(G.n, [G.adj[v] for v in range(G.n)])),
+        threshold_in_td_sense(PositiveDNF(f.n, f.implicants)),
+        threshold_in_td_sense(dnf_of_hypergraph(Hypergraph(f.n, f.implicants))),
+        threshold_in_td_sense(dnf_of_hypergraph(rn)),
+        recognize_td(split_incidence_graph(rn)[0]).verdict,
+        recognize_td(neighborhood_split_graph(G)).verdict,
+    )
+    return EquivalenceReport(legs)
 
 
-def hypergraph_threshold_via_graph(H: Hypergraph, dual_cap: int = DEFAULT_DUAL_CAP) -> bool:
+def hypergraph_threshold_via_graph(H: Hypergraph) -> bool:
     """Thresholdness of a hypergraph decided through its split-incidence
     graph being total domishold."""
-    report = recognize_td(split_incidence_graph(H)[0], want_witness=False)
-    if report.verdict is None:
-        raise CapabilityError(report.note)
-    return report.verdict
+    return recognize_td(split_incidence_graph(H)[0]).verdict

@@ -79,24 +79,22 @@ def approx_dominating_set(G: Graph) -> SolveResult:
     removing isolated vertices; either failing is reported as an error
     rather than silently switching algorithms.
     """
-    report = recognize_td(G, want_witness=False)
-    if report.verdict is None:
-        raise CapabilityError(report.note)
+    report = recognize_td(G)
     if not report.verdict:
         raise ValueError("input graph is not total domishold")
     isolated = G.isolated_vertices()
     if len(isolated) == G.n:
         return SolveResult(frozenset(range(G.n)), G.n, "approx")
     rest = sorted(set(range(G.n)) - isolated)
-    sub = induced_subgraph(G, rest)
-    sub_report = recognize_td(sub, want_witness=False)
-    if sub_report.verdict is None:
-        raise CapabilityError(sub_report.note)
-    if not sub_report.verdict or sub_report.structure is None:
-        raise ValueError(
-            "graph minus isolated vertices is not total domishold; "
-            "the reduction does not apply"
-        )
-    inner = greedy_min_tds(sub, sub_report.structure)
+    sub = G
+    if isolated:
+        sub = induced_subgraph(G, rest)
+        report = recognize_td(sub)
+        if not report.verdict:
+            raise ValueError(
+                "graph minus isolated vertices is not total domishold; "
+                "the reduction does not apply"
+            )
+    inner = greedy_min_tds(sub, report.structure)
     chosen = isolated | frozenset(rest[v] for v in inner.vertices)
     return SolveResult(chosen, len(chosen), "approx")

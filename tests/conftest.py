@@ -66,7 +66,7 @@ class TdTable:
         key = G.key()
         hit = self._cache.get(key)
         if hit is None:
-            hit = recognize_td(G, want_witness=False)
+            hit = recognize_td(G)
             self._cache[key] = hit
         return hit
 

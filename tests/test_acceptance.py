@@ -84,7 +84,7 @@ def test_criterion_01_catalog_validity():
     for entry in forbidden_catalog():
         checked += 1
         G = entry.graph
-        if recognize_td(G, want_witness=False).verdict is not False:
+        if recognize_td(G).verdict is not False:
             failures += 1
         if not verify_summability_witness(neighborhood_dnf(G), catalog_witness(entry)):
             failures += 1
@@ -136,12 +136,12 @@ def test_criterion_04_certificate_soundness(td_table, census6, td_corpus12, dual
         checked += 1
         if not verify_td_structure(G, s):
             failures += 1
-        rep = recognize_td(G, want_witness=False)
+        rep = recognize_td(G)
         if rep.verdict is not True or not verify_td_structure(G, rep.structure):
             failures += 1
     for H in dually_sperner_corpus[:300]:
         f = dnf_of_hypergraph(H)
-        rep = is_threshold(f, want_witness=False)
+        rep = is_threshold(f)
         if rep.is_threshold:
             checked += 1
             if not verify_separating_structure(f, rep.structure):
@@ -156,15 +156,15 @@ def test_criterion_05_metamorphic_laws():
     for _ in range(500):
         checked += 1
         G = random_graph(rng, rng.randint(1, 10))
-        td = recognize_td(G, want_witness=False).verdict
-        if recognize_td(add_universal(G), want_witness=False).verdict != td:
+        td = recognize_td(G).verdict
+        if recognize_td(add_universal(G)).verdict != td:
             failures += 1
-        if recognize_td(disjoint_union(G, k2), want_witness=False).verdict != td:
+        if recognize_td(disjoint_union(G, k2)).verdict != td:
             failures += 1
         if G.has_isolated_vertex() and td is not True:
             failures += 1
         G2, s2, image = embed_into_td(G)
-        if recognize_td(G2, want_witness=False).verdict is not True:
+        if recognize_td(G2).verdict is not True:
             failures += 1
         if G2.n <= 14 and not verify_td_structure(G2, s2):
             failures += 1
@@ -175,7 +175,7 @@ def test_criterion_06_dually_sperner_threshold(dually_sperner_corpus):
     failures = 0
     for H in dually_sperner_corpus:
         f = dnf_of_hypergraph(H)
-        rep = is_threshold(f, want_witness=False)
+        rep = is_threshold(f)
         if not rep.is_threshold or not verify_separating_structure(f, rep.structure):
             failures += 1
     report(6, "dually Sperner hypergraphs are threshold (1000 seeded)", failures, len(dually_sperner_corpus))
@@ -186,8 +186,8 @@ def test_criterion_07_hypergraph_graph_bridge():
     rng = random.Random(SEED + 7)
     for _ in range(500):
         H = random_hypergraph(rng, rng.randint(1, 8), rng.randint(0, 6))
-        via_function = is_threshold(dnf_of_hypergraph(H), want_witness=False).is_threshold
-        via_graph = recognize_td(split_incidence_graph(H)[0], want_witness=False).verdict
+        via_function = is_threshold(dnf_of_hypergraph(H)).is_threshold
+        via_graph = recognize_td(split_incidence_graph(H)[0]).verdict
         if via_function != via_graph:
             failures += 1
     report(7, "hypergraph thresholdness == split-incidence graph TD (500 seeded)", failures, 500)
@@ -275,7 +275,7 @@ def test_criterion_12_threshold_graphs_are_htd():
         G = random_threshold(rng.randrange(1 << 30), rng.randint(1, 12))
         if not recognize_htd(G).verdict:
             failures += 1
-        if recognize_td(G, want_witness=False).verdict is not True:
+        if recognize_td(G).verdict is not True:
             failures += 1
     report(12, "threshold graphs pass HTD and TD recognition (500 seeded)", failures, 500)
 
@@ -297,7 +297,7 @@ def test_criterion_13_asummability_cross_check():
                 assert is_threshold(f).reason == "constant-one"
                 continue
             checked += 1
-            rep = is_threshold(f, want_witness=False)
+            rep = is_threshold(f)
             summable = is_k_summable(f, 3) is not None
             if rep.is_threshold != (not summable):
                 failures += 1

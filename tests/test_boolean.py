@@ -120,7 +120,7 @@ def test_is_threshold_yes_examples():
 def test_is_threshold_no_example_c4_neighborhoods():
     f = make_dnf(4, [[1, 3], [0, 2]])
     report = is_threshold(f)
-    assert not report.is_threshold and report.reason == "lp-infeasible"
+    assert not report.is_threshold and report.reason == "non-regular"
     assert report.witness is not None
     assert verify_summability_witness(f, report.witness)
 

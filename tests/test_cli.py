@@ -166,10 +166,21 @@ def test_hypergraph_verify_round_trip(write, capsys, tmp_path):
     capsys.readouterr()
 
 
-def test_cap_dual_yields_unknown_exit(write, capsys):
-    g = write("c6.g", write_graph(cycle(6)))
-    assert main(["recognize-td", g, "--cap-dual", "1"]) == 2
-    capsys.readouterr()
+def test_verify_malformed_report_is_an_error(write, capsys, tmp_path):
+    k4 = write("k4.g", write_graph(complete(4)))
+    h = write("h.h", write_hypergraph(Hypergraph.make(3, [[0, 1], [0, 2]])))
+    rep = tmp_path / "r.json"
+    cases = [
+        (k4, {"structure": {"weights": 5}}),
+        (h, {"structure": {"weights": 5}}),
+        (k4, {"witness": {"kind": "summability"}}),
+        (h, {"witness": {"kind": "summability"}}),
+        (k4, {"witness": {"kind": "forbidden_subgraph", "index": 0, "embedding": [1, 2, 3, 4]}}),
+    ]
+    for path, content in cases:
+        rep.write_text(json.dumps(content))
+        assert main(["verify", path, str(rep)]) == 2, content
+        assert capsys.readouterr().err.startswith("error: malformed report"), content
 
 
 def test_seed_env_variable_is_default(write, capsys, monkeypatch):

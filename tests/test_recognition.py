@@ -130,7 +130,7 @@ def test_structure_add_universal_random_chain():
     rng = random.Random(31)
     for _ in range(25):
         G = random_graph(rng, rng.randint(1, 7))
-        report = recognize_td(G, want_witness=False)
+        report = recognize_td(G)
         if not report.verdict:
             continue
         G2, s2 = structure_add_universal(G, report.structure)
@@ -180,7 +180,7 @@ def test_embed_into_td_k1_and_general():
         assert not G2.has_isolated_vertex()
         assert is_induced_embedding(G2, G, image)
         assert verify_td_structure(G2, s)
-        assert recognize_td(G2, want_witness=False).verdict is True
+        assert recognize_td(G2).verdict is True
 
 
 def test_equivalence_chain_examples():
@@ -200,7 +200,7 @@ def test_greedy_structures_stay_sound_on_census_sample():
     rng = random.Random(34)
     for _ in range(40):
         G = random_graph(rng, rng.randint(1, 7))
-        report = recognize_td(G, want_witness=False)
+        report = recognize_td(G)
         if report.verdict:
             assert verify_td_structure(G, report.structure)
         else:
@@ -264,7 +264,7 @@ def test_verdicts_are_isomorphism_invariant():
         perm = list(range(n))
         rng.shuffle(perm)
         H = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in G.edges()])
-        assert recognize_td(G, want_witness=False).verdict == recognize_td(H, want_witness=False).verdict
+        assert recognize_td(G).verdict == recognize_td(H).verdict
         assert recognize_htd(G).verdict == recognize_htd(H).verdict
 
 
@@ -272,7 +272,7 @@ def test_recognize_td_scales_to_moderate_graphs():
     rng = random.Random(39)
     for _ in range(15):
         G = random_graph(rng, 12)
-        report = recognize_td(G, want_witness=False)
+        report = recognize_td(G)
         assert report.verdict is not None
         if report.verdict:
             assert verify_td_structure(G, report.structure)

@@ -35,7 +35,7 @@ def test_greedy_on_p3_picks_heavy_vertex_first():
 
 def test_greedy_on_star():
     G = star(4)
-    report = recognize_td(G, want_witness=False)
+    report = recognize_td(G)
     assert report.verdict
     result = greedy_min_tds(G, report.structure)
     assert result.size == 2 == gamma_t_bruteforce(G).size
@@ -54,7 +54,7 @@ def test_greedy_prefix_optimality():
         G = random_graph(rng, rng.randint(2, 8))
         if G.has_isolated_vertex():
             continue
-        report = recognize_td(G, want_witness=False)
+        report = recognize_td(G)
         if not report.verdict:
             continue
         s = report.structure
@@ -127,7 +127,7 @@ def test_approx_bound_against_oracle():
     checked = 0
     for _ in range(80):
         G = random_graph(rng, rng.randint(1, 8))
-        report = recognize_td(G, want_witness=False)
+        report = recognize_td(G)
         if not report.verdict:
             continue
         isolated = G.isolated_vertices()
@@ -135,7 +135,7 @@ def test_approx_bound_against_oracle():
             rest = sorted(set(range(G.n)) - isolated)
             from domishold import induced_subgraph
 
-            if not recognize_td(induced_subgraph(G, rest), want_witness=False).verdict:
+            if not recognize_td(induced_subgraph(G, rest)).verdict:
                 continue
         result = approx_dominating_set(G)
         assert is_dominating_set(G, result.vertices)
