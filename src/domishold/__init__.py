@@ -17,7 +17,6 @@ from .boolean import (
     is_threshold,
     make_dnf,
     maximal_false_points,
-    threshold_in_td_sense,
     verify_separating_structure,
     verify_summability_witness,
 )

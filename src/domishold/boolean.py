@@ -1,6 +1,9 @@
 """Positive Boolean functions as prime-implicant antichains, summability
 oracles, and threshold recognition producing integral separating structures.
 
+f is threshold when f(x) = 0 exactly when w.x <= t, for non-negative integer
+weights w and t >= -1; constant 1 is threshold with w = 0 and t = -1.
+
 Recognition is polynomial and never dualizes: the strength order of the
 variables either exposes an incomparable pair (a 2-summability witness) or
 makes the function regular; the maximal false points of a regular function
@@ -97,8 +100,8 @@ def maximal_false_points(f: PositiveDNF, cap: int = DEFAULT_DUAL_CAP) -> tuple[f
 
 @dataclass(frozen=True)
 class SeparatingStructure:
-    """Non-negative integer weights and threshold with f(x)=0 iff the weight
-    of the support is at most t (true points reach at least t+1)."""
+    """Non-negative integer weights and threshold t >= -1 with f(x)=0 iff
+    the weight of the support is at most t (true points reach t+1)."""
 
     weights: tuple[int, ...]
     t: int
@@ -110,18 +113,23 @@ def verify_separating_structure(
     """Exhaustively check the separating property over all 2^n points."""
     if f.n > max_n:
         raise CapabilityError(f"exhaustive verification capped at {max_n} variables")
-    if len(s.weights) != f.n or s.t < 0 or any(w < 0 for w in s.weights):
+    if len(s.weights) != f.n or s.t < -1 or any(w < 0 for w in s.weights):
         return False
     imp_masks = [_mask(t) for t in f.implicants]
-    totals = [0] * (1 << f.n)
-    for mask in range(1, 1 << f.n):
-        low = mask & -mask
-        totals[mask] = totals[mask ^ low] + s.weights[low.bit_length() - 1]
-    for mask in range(1 << f.n):
+    for mask, total in enumerate(_subset_weights(f.n, s.weights)):
         truth = any(im & mask == im for im in imp_masks)
-        if (totals[mask] <= s.t) != (not truth):
+        if (total <= s.t) == truth:
             return False
     return True
+
+
+def _subset_weights(n: int, weights: Sequence[int]) -> list[int]:
+    """Weight of every subset of range(n), indexed by bitmask."""
+    totals = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        totals[mask] = totals[mask ^ low] + weights[low.bit_length() - 1]
+    return totals
 
 
 @dataclass(frozen=True)
@@ -190,9 +198,8 @@ def is_k_summable(
 class ThresholdReport:
     """Outcome of threshold recognition. ``reason`` names the path taken:
     ``separating-structure`` (yes, with an integral structure),
-    ``non-regular`` (no, with a 2-summability witness), ``lp-infeasible``
-    (no: the function is regular but no weights separate it) or
-    ``constant-one``."""
+    ``non-regular`` (no, with a 2-summability witness) or ``lp-infeasible``
+    (no: the function is regular but no weights separate it)."""
 
     is_threshold: bool
     structure: Optional[SeparatingStructure]
@@ -223,14 +230,11 @@ def is_threshold(f: PositiveDNF) -> ThresholdReport:
        (implicants with minimal prefix counts) and the ceilings (false
        candidates with maximal prefix counts) become rows.
 
-    Constant 0 is threshold with the all-zero structure. Constant 1 admits
-    no structure with a non-negative threshold (the zero point would have to
-    be false) and is reported as a special non-threshold verdict.
+    The constants get the zero weights with t = 0 (constant 0) or -1.
     """
-    if f.is_constant_one():
-        return ThresholdReport(False, None, None, "constant-one")
-    if f.is_constant_zero():
-        return ThresholdReport(True, SeparatingStructure((0,) * f.n, 0), None, "separating-structure")
+    if f.is_constant_zero() or f.is_constant_one():
+        t = -1 if f.is_constant_one() else 0
+        return ThresholdReport(True, SeparatingStructure((0,) * f.n, t), None, "separating-structure")
     classes = _strength_classes(f)
     if isinstance(classes, SummabilityWitness):
         return ThresholdReport(False, None, classes, "non-regular")
@@ -350,17 +354,3 @@ def _extreme_vectors(vectors: Iterable[tuple[int, ...]], lowest: bool) -> list[t
         if not any(all(sign * (a - b) <= 0 for a, b in zip(k, v)) for k in kept):
             kept.append(v)
     return kept
-
-
-def threshold_in_td_sense(f: PositiveDNF) -> bool:
-    """Thresholdness with the total-domination reading of the degenerate
-    constant-1 case.
-
-    The constant-1 function arises exactly from neighborhood functions of
-    graphs with isolated vertices; such graphs are total domishold and the
-    reduction passes through the dual function (constant 0), which is
-    threshold. This wrapper therefore counts constant 1 as threshold.
-    """
-    if f.is_constant_one():
-        return True
-    return is_threshold(f).is_threshold

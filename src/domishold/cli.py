@@ -201,17 +201,7 @@ def cmd_hypergraph(args) -> int:
                 f"violating pair: {_vertices_1based(pair[0])} / {_vertices_1based(pair[1])}"
             )
     else:
-        f = dnf_of_hypergraph(H)
-        if f.is_constant_one():
-            # an empty edge is contained in every set; no non-negative
-            # threshold separates, but the split-incidence graph is total
-            # domishold, so the degenerate case counts as threshold
-            report["verdict"] = True
-            human.append("threshold: True (degenerate: contains the empty edge)")
-            report["elapsed_ms"] = int((time.monotonic() - start) * 1000)
-            _emit(args, report, human)
-            return EXIT_YES
-        result = is_threshold(f)
+        result = is_threshold(dnf_of_hypergraph(H))
         report["verdict"] = result.is_threshold
         human.append(f"threshold: {result.is_threshold}")
         if result.structure is not None:
@@ -410,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_generate)
 
-    p = add_parser("equivalence", help="seven-way total domishold equivalence report")
+    p = add_parser("equivalence", help="graph and split-incidence total domishold verdicts")
     p.add_argument("path", nargs="?")
     p.add_argument("--census", type=int, help="sweep all labeled graphs up to this order")
     _add_common(p)

@@ -1,13 +1,13 @@
-"""Seeded corpus builders for the verification sweeps: random graphs,
-random hypergraphs, random dually Sperner hypergraphs, and randomly grown
-total domishold graphs carried together with verifying structures.
+"""Seeded corpus builders for the verification sweeps: random hypergraphs,
+random dually Sperner hypergraphs, and randomly grown total domishold graphs
+carried together with verifying structures.
 """
 
 from __future__ import annotations
 
 import random
 
-from .graphs import Graph, add_pendant, complete, path, random_graph, star
+from .graphs import Graph, add_pendant, complete, path, star
 from .hypergraphs import Hypergraph, is_dually_sperner
 from .recognition import (
     TdStructure,
@@ -16,23 +16,14 @@ from .recognition import (
     structure_union_unique_min,
 )
 
-DEFAULT_SEED = 20130919
-
-
-def random_graphs(seed: int, count: int, max_n: int, min_n: int = 1) -> list[Graph]:
-    """Deterministic list of random graphs with n in [min_n, max_n]."""
-    rng = random.Random(seed)
-    return [random_graph(rng, rng.randint(min_n, max_n)) for _ in range(count)]
-
 
 def random_hypergraph(
     rng: random.Random, n: int, max_edges: int, allow_empty_edge: bool = False
 ) -> Hypergraph:
     """Random hypergraph with up to max_edges edges.
 
-    Empty edges are excluded by default: they force the associated function
-    to constant 1, which the threshold convention with non-negative
-    thresholds cannot represent.
+    Empty edges are excluded unless ``allow_empty_edge``; one makes the
+    associated function constant 1, which is threshold with t = -1.
     """
     m = rng.randint(0 if max_edges == 0 else 1, max_edges)
     edges = []
@@ -108,7 +99,3 @@ def grow_td_graph(
                 continue
             G, s = structure_union_unique_min(G, s, H)
     return G, s
-
-
-def random_threshold_sequence(rng: random.Random, n: int) -> str:
-    return "i" + "".join(rng.choice("iu") for _ in range(max(0, n - 1)))

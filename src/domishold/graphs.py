@@ -14,8 +14,6 @@ from typing import Iterable, Iterator, Optional
 
 from .errors import CapabilityError
 
-VertexSet = frozenset
-
 
 @dataclass(frozen=True)
 class Graph:
@@ -327,26 +325,17 @@ def split_partition(
 ) -> Optional[tuple[frozenset[int], frozenset[int]]]:
     """Partition V(G) into a clique K and independent set I, or None.
 
-    Deterministic: among valid partitions, |K| is maximized and K is the
-    lexicographically smallest such clique.
+    Hammer & Simeone (1981): sort by degree, largest first and ties by index,
+    and let m be the largest i whose i-th degree is >= i - 1. G is split iff
+    the first m vertices have degree sum m(m-1) plus that of the rest; they
+    are then K, the lexicographically smallest of the largest possible.
     """
-    n = G.n
-    degs = sorted((len(s) for s in G.adj), reverse=True)
-    m = max((i for i in range(1, n + 1) if degs[i - 1] >= i - 1), default=0)
+    order = sorted(range(G.n), key=lambda v: (-G.degree(v), v))
+    degs = [G.degree(v) for v in order]
+    m = max((i for i in range(1, G.n + 1) if degs[i - 1] >= i - 1), default=0)
     if sum(degs[:m]) != m * (m - 1) + sum(degs[m:]):
         return None
-    for k in range(n, -1, -1):
-        candidates = [v for v in range(n) if len(G.adj[v]) >= k - 1]
-        if len(candidates) < k:
-            continue
-        for K in combinations(candidates, k):
-            Kset = frozenset(K)
-            if any(u not in G.adj[v] for u, v in combinations(K, 2)):
-                continue
-            I = frozenset(range(n)) - Kset
-            if all(not (G.adj[v] & I) for v in I):
-                return Kset, I
-    return None
+    return frozenset(order[:m]), frozenset(order[m:])
 
 
 def is_12_polar(G: Graph, max_n: int = 20) -> bool:

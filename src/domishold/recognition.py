@@ -1,7 +1,8 @@
 """Total domishold recognition with verifiable certificates, the hereditary
 recognizer over the forbidden catalog, the structure-preserving graph
-transformations with their explicit weight constructions, and the seven-way
-equivalence check tying graphs, functions and hypergraphs together.
+transformations with their explicit weight constructions, and the
+equivalence check that decides total domishold membership on the graph and
+on its neighborhood split graph.
 """
 
 from __future__ import annotations
@@ -10,22 +11,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import catalog as _catalog
-from .boolean import (
-    PositiveDNF,
-    SummabilityWitness,
-    dnf_of_hypergraph,
-    is_threshold,
-    make_dnf,
-    threshold_in_td_sense,
-)
+from .boolean import PositiveDNF, SummabilityWitness, _mask, _subset_weights, is_threshold, make_dnf
 from .errors import CapabilityError
 from .graphs import Graph, add_universal, disjoint_union, find_induced
-from .hypergraphs import (
-    Hypergraph,
-    neighborhood_split_graph,
-    reduced_neighborhood_hypergraph,
-    split_incidence_graph,
-)
+from .hypergraphs import Hypergraph, neighborhood_split_graph, split_incidence_graph
 
 VERIFY_CAP = 16
 
@@ -97,29 +86,11 @@ def verify_td_structure(G: Graph, s: TdStructure, max_n: int = VERIFY_CAP) -> bo
         raise CapabilityError(f"exhaustive verification capped at {max_n} vertices")
     if len(s.weights) != G.n or s.t < 0 or any(w < 0 for w in s.weights):
         return False
-    masks = [_adj_mask(G, v) for v in range(G.n)]
-    totals = _subset_weights(G.n, s.weights)
-    for sub in range(1 << G.n):
-        is_td = all(m & sub for m in masks)
-        if (totals[sub] >= s.t) != is_td:
+    masks = [_mask(N) for N in G.adj]
+    for sub, total in enumerate(_subset_weights(G.n, s.weights)):
+        if (total >= s.t) != all(m & sub for m in masks):
             return False
     return True
-
-
-def _subset_weights(n: int, weights) -> list[int]:
-    """Weight of every subset, indexed by bitmask."""
-    totals = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        totals[mask] = totals[mask ^ low] + weights[low.bit_length() - 1]
-    return totals
-
-
-def _adj_mask(G: Graph, v: int) -> int:
-    m = 0
-    for u in G.adj[v]:
-        m |= 1 << u
-    return m
 
 
 def recognize_htd(G: Graph) -> HtdRecognitionReport:
@@ -179,7 +150,7 @@ def unique_minimal_tds(H: Graph, max_n: int = VERIFY_CAP) -> Optional[frozenset[
     unique minimal one exactly when it is itself total dominating."""
     if H.n > max_n:
         raise CapabilityError(f"brute-force enumeration capped at {max_n} vertices")
-    masks = [_adj_mask(H, v) for v in range(H.n)]
+    masks = [_mask(N) for N in H.adj]
     common = (1 << H.n) - 1
     found = False
     for sub in range(1 << H.n):
@@ -247,41 +218,28 @@ def _require_verifying(G: Graph, s: TdStructure) -> None:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """The seven verdicts: (i) the graph is total domishold; (ii) its
-    neighborhood function is threshold; (iii) the complete DNF of that
-    function is threshold; (iv) the hypergraph of that DNF is threshold;
-    (v) the reduced neighborhood hypergraph is threshold; (vi) the
-    split-incidence graph of that hypergraph is total domishold; (vii) the
-    derived neighborhood split graph is total domishold."""
+    """Verdicts in ``ROUTES`` order: G is total domishold (``graph``), and
+    so is its neighborhood split graph (``split-incidence``)."""
 
     legs: tuple[bool, ...]
 
-    ROMAN = ("i", "ii", "iii", "iv", "v", "vi", "vii")
+    ROUTES = ("graph", "split-incidence")
 
     def unanimous(self) -> bool:
         return all(self.legs) or not any(self.legs)
 
     def as_dict(self) -> dict[str, bool]:
-        return dict(zip(self.ROMAN, self.legs))
+        return dict(zip(self.ROUTES, self.legs))
 
 
 def check_equivalence_chain(G: Graph) -> EquivalenceReport:
-    """Evaluate the seven equivalent statements along their own construction
-    paths. The thresholdness legs use the total-domination reading of the
-    degenerate constant-1 case (graphs with isolated vertices), matching the
-    recognizer's isolated-vertex short circuit."""
-    f = neighborhood_dnf(G)
-    rn = reduced_neighborhood_hypergraph(G)
-    legs = (
-        recognize_td(G).verdict,
-        threshold_in_td_sense(make_dnf(G.n, [G.adj[v] for v in range(G.n)])),
-        threshold_in_td_sense(PositiveDNF(f.n, f.implicants)),
-        threshold_in_td_sense(dnf_of_hypergraph(Hypergraph(f.n, f.implicants))),
-        threshold_in_td_sense(dnf_of_hypergraph(rn)),
-        recognize_td(split_incidence_graph(rn)[0]).verdict,
-        recognize_td(neighborhood_split_graph(G)).verdict,
+    """G is total domishold iff its neighborhood function is threshold iff
+    its neighborhood split graph (the split-incidence graph of the reduced
+    neighborhood hypergraph) is total domishold. ``recognize_td`` decides
+    the middle statement, so each graph is recognized once."""
+    return EquivalenceReport(
+        (recognize_td(G).verdict, recognize_td(neighborhood_split_graph(G)).verdict)
     )
-    return EquivalenceReport(legs)
 
 
 def hypergraph_threshold_via_graph(H: Hypergraph) -> bool:

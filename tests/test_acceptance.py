@@ -106,7 +106,7 @@ def test_criterion_02_hereditary_equivalence_n6(td_table, census6):
     report(2, "hereditary equivalence over all graphs n<=6", failures, len(census6))
 
 
-def test_criterion_03_seven_leg_agreement():
+def test_criterion_03_two_route_agreement():
     failures = checked = 0
     for n in range(6):
         for G in all_graphs(n):
@@ -121,7 +121,7 @@ def test_criterion_03_seven_leg_agreement():
         chain = check_equivalence_chain(G)
         if None in chain.legs or not chain.unanimous():
             failures += 1
-    report(3, "seven-leg agreement (census n<=5 + 1000 random n<=8)", failures, checked)
+    report(3, "two-route agreement (census n<=5 + 1000 random n<=8)", failures, checked)
 
 
 def test_criterion_04_certificate_soundness(td_table, census6, td_corpus12, dually_sperner_corpus):
@@ -291,11 +291,6 @@ def test_criterion_13_asummability_cross_check():
             ):
                 continue
             f = make_dnf(n, family)
-            if f.is_constant_one():
-                # vacuously asummable (no false points) yet inseparable with a
-                # non-negative threshold; the special verdict is asserted instead
-                assert is_threshold(f).reason == "constant-one"
-                continue
             checked += 1
             rep = is_threshold(f)
             summable = is_k_summable(f, 3) is not None

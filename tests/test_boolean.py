@@ -12,7 +12,6 @@ from domishold import (
     is_threshold,
     make_dnf,
     maximal_false_points,
-    threshold_in_td_sense,
     verify_separating_structure,
     verify_summability_witness,
 )
@@ -131,9 +130,9 @@ def test_is_threshold_constants():
     assert rep.is_threshold and verify_separating_structure(zero, rep.structure)
     one = make_dnf(3, [[]])
     rep1 = is_threshold(one)
-    assert not rep1.is_threshold and rep1.reason == "constant-one"
-    assert threshold_in_td_sense(one)  # the total-domination reading
-    assert threshold_in_td_sense(zero)
+    assert rep1.is_threshold and rep1.reason == "separating-structure"
+    assert rep1.structure.t == -1 and verify_separating_structure(one, rep1.structure)
+    assert is_threshold(zero).is_threshold
 
 
 def test_is_k_summable_examples():

@@ -119,6 +119,7 @@ def test_equivalence_command(write, capsys):
     p4 = write("p4.g", write_graph(path(4)))
     code, report = run_json(capsys, "equivalence", p4)
     assert code == 0 and all(report["legs"].values())
+    assert list(report["legs"]) == ["graph", "split-incidence"]
     c4 = write("c4.g", write_graph(cycle(4)))
     code, report = run_json(capsys, "equivalence", c4)
     assert code == 0 and not any(report["legs"].values())
@@ -160,9 +161,13 @@ def test_verify_catches_tampering(write, capsys, tmp_path):
 
 def test_hypergraph_verify_round_trip(write, capsys, tmp_path):
     h = write("h.h", write_hypergraph(Hypergraph.make(3, [[0, 1], [0, 2]])))
+    # an empty edge makes the function constant 1: threshold with t = -1
+    degenerate = write("deg.h", "p hgraph 2 2\nh\nh 1 2\n")
     rep = tmp_path / "r.json"
-    assert main(["hypergraph", h, "--threshold", "--json", "--out", str(rep)]) == 0
-    assert main(["verify", h, str(rep)]) == 0
+    for f in (h, degenerate):
+        assert main(["hypergraph", f, "--threshold", "--json", "--out", str(rep)]) == 0
+        assert main(["verify", f, str(rep)]) == 0
+    assert json.loads(rep.read_text())["structure"] == {"weights": [0, 0], "t": -1}
     capsys.readouterr()
 
 

@@ -237,8 +237,8 @@ def test_split_partition_valid_and_maximal():
     for n in range(6):
         for G in all_graphs(n):
             result = split_partition(G)
-            brute_sizes = [
-                len(K)
+            brute = [
+                frozenset(K)
                 for size in range(G.n + 1)
                 for K in combinations(range(G.n), size)
                 if not any(u not in G.adj[v] for u, v in combinations(K, 2))
@@ -248,12 +248,13 @@ def test_split_partition_valid_and_maximal():
                 )
             ]
             if result is None:
-                assert not brute_sizes, (n, G.edges())
+                assert not brute, (n, G.edges())
                 continue
             seen_split += 1
             K, I = result
             assert K | I == frozenset(range(G.n)) and not K & I
             assert all(u in G.adj[v] for u, v in combinations(sorted(K), 2))
             assert all(not (G.adj[v] & I) for v in I)
-            assert len(K) == max(brute_sizes)
+            largest = max(len(B) for B in brute)
+            assert K == next(B for B in brute if len(B) == largest), (n, G.edges())
     assert seen_split > 100

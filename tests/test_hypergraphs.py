@@ -12,6 +12,7 @@ from domishold import (
     find_induced,
     independent_neighborhood_hypergraph,
     is_dually_sperner,
+    is_threshold,
     minimal_transversals,
     neighborhood_split_graph,
     path,
@@ -20,7 +21,6 @@ from domishold import (
     split_incidence_graph,
     split_partition,
     sperner_reduce,
-    threshold_in_td_sense,
 )
 from domishold.corpus import random_hypergraph
 from domishold.errors import CapabilityError
@@ -177,9 +177,9 @@ def test_universal_hyper_vertex_preserves_thresholdness():
     for _ in range(40):
         n = rng.randint(1, 6)
         hg = random_hypergraph(rng, n, 4)
-        before = threshold_in_td_sense(dnf_of_hypergraph(hg))
+        before = is_threshold(dnf_of_hypergraph(hg)).is_threshold
         grown = add_universal_vertex(hg)
-        assert threshold_in_td_sense(dnf_of_hypergraph(grown)) == before
+        assert is_threshold(dnf_of_hypergraph(grown)).is_threshold == before
         back = remove_universal_vertex(grown, n)
         assert back == hg
 
@@ -190,4 +190,4 @@ def test_every_dually_sperner_hypergraph_is_threshold():
     rng = random.Random(16)
     for _ in range(60):
         hg = random_dually_sperner_hypergraph(rng, rng.randint(2, 9), 6)
-        assert threshold_in_td_sense(dnf_of_hypergraph(hg))
+        assert is_threshold(dnf_of_hypergraph(hg)).is_threshold

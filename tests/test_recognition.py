@@ -184,9 +184,9 @@ def test_embed_into_td_k1_and_general():
 
 
 def test_equivalence_chain_examples():
-    assert check_equivalence_chain(cycle(4)).legs == (False,) * 7
-    assert check_equivalence_chain(path(4)).legs == (True,) * 7
-    assert check_equivalence_chain(complete(3)).legs == (True,) * 7
+    assert check_equivalence_chain(cycle(4)).legs == (False,) * 2
+    assert check_equivalence_chain(path(4)).legs == (True,) * 2
+    assert check_equivalence_chain(complete(3)).legs == (True,) * 2
     assert check_equivalence_chain(star(3)).unanimous()
 
 
