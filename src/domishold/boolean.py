@@ -85,9 +85,8 @@ def dual(f: PositiveDNF, cap: int = DEFAULT_DUAL_CAP) -> PositiveDNF:
 
 def maximal_false_points(f: PositiveDNF, cap: int = DEFAULT_DUAL_CAP) -> tuple[frozenset[int], ...]:
     """Supports of the inclusion-maximal false points, as complements of the
-    dual prime implicants."""
-    if f.is_constant_one():
-        raise ValueError("the constant-1 function has no false points")
+    dual prime implicants; none for the constant-1 function, whose dual
+    (constant 0) has no implicants."""
     full = frozenset(range(f.n))
     return tuple(
         sorted((full - t for t in dual(f, cap).implicants), key=lambda s: tuple(sorted(s)))

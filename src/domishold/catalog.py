@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .boolean import SummabilityWitness
-from .graphs import Graph
+from .graphs import Graph, is_chordal, split_partition
 
 U, V, A, B, C, D = 0, 1, 2, 3, 4, 5
 
@@ -56,6 +56,12 @@ _CATALOG: tuple[CatalogEntry, ...] = (
     _entry(12, "F12", 6, _BASE + [(A, C), (B, C), (B, D), (A, B), (C, D)]),
     _entry(13, "F13", 6, _BASE + [(A, C), (A, D), (B, C), (B, D), (A, B), (C, D)]),
 )
+
+
+# An induced subgraph of a split (chordal) graph is split (chordal), so on a
+# split (chordal) host only these members can embed.
+SPLIT_MEMBERS = tuple(e for e in _CATALOG if split_partition(e.graph) is not None)
+CHORDAL_MEMBERS = tuple(e for e in _CATALOG if is_chordal(e.graph))
 
 
 def forbidden_catalog() -> tuple[CatalogEntry, ...]:

@@ -118,7 +118,7 @@ def cmd_recognize_htd(args) -> int:
     result = recognize_htd(G)
     report["elapsed_ms"] = int((time.monotonic() - start) * 1000)
     report["verdict"] = result.verdict
-    human = [f"hereditary total domishold: {result.verdict}"]
+    human = [f"hereditary total domishold: {result.verdict} (route: {result.note})"]
     if result.witness is not None:
         index, image = result.witness
         name = forbidden_catalog()[index - 1].name

@@ -106,9 +106,14 @@ def find_induced(G: Graph, H: Graph) -> Optional[tuple[int, ...]]:
     """Lexicographically first induced embedding of H into G, or None.
 
     The returned tuple maps pattern vertex i to host vertex tuple[i]; the
-    mapping is injective and preserves both edges and non-edges. Exhaustive
-    over ordered injections with degree and adjacency pruning; intended for
-    patterns on at most ~6 vertices.
+    mapping is injective and preserves both edges and non-edges. Pattern
+    vertices are mapped in index order by backtracking over bitmask
+    candidate sets: the candidates for pattern vertex i are the unused host
+    vertices of large enough degree, within the neighborhood of every mapped
+    neighbor of i and outside that of every mapped non-neighbor, taken
+    lowest index first. The sets of all unmapped pattern vertices are
+    narrowed as each vertex is mapped, so a branch ends as soon as one of
+    them is empty.
     """
     k = H.n
     if k > G.n:
@@ -118,25 +123,37 @@ def find_induced(G: Graph, H: Graph) -> Optional[tuple[int, ...]]:
     # equal orders means isomorphism: degree sequences must match
     if k == G.n and H.degree_sequence() != G.degree_sequence():
         return None
-    hdeg = [len(H.adj[i]) for i in range(k)]
-    gdeg = [len(G.adj[v]) for v in range(G.n)]
+    masks = [sum(1 << u for u in N) for N in G.adj]
+    at_least = {
+        d: sum(1 << v for v in range(G.n) if len(G.adj[v]) >= d)
+        for d in {len(N) for N in H.adj}
+    }
+    later = [[j in H.adj[i] for j in range(i + 1, k)] for i in range(k)]
     image: list[int] = []
-    used = [False] * G.n
 
-    def extend(i: int) -> bool:
-        for v in range(G.n):
-            if used[v] or gdeg[v] < hdeg[i]:
-                continue
-            if all((v in G.adj[image[j]]) == (j in H.adj[i]) for j in range(i)):
+    def extend(cands: list[int]) -> bool:
+        """Map pattern vertex len(image); cands[0] holds its candidates and
+        cands[1:] those of the pattern vertices after it."""
+        cand, after = cands[0], later[len(image)]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            inside, outside = masks[v], ~(masks[v] | low)
+            narrowed = []
+            for c, adjacent in zip(cands[1:], after):
+                c &= inside if adjacent else outside
+                if not c:
+                    break
+                narrowed.append(c)
+            else:
                 image.append(v)
-                used[v] = True
-                if i + 1 == k or extend(i + 1):
+                if not narrowed or extend(narrowed):
                     return True
                 image.pop()
-                used[v] = False
         return False
 
-    return tuple(image) if extend(0) else None
+    return tuple(image) if extend([at_least[len(N)] for N in H.adj]) else None
 
 
 def is_induced_embedding(G: Graph, H: Graph, image: tuple[int, ...]) -> bool:

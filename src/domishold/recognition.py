@@ -13,7 +13,7 @@ from typing import Optional
 from . import catalog as _catalog
 from .boolean import PositiveDNF, SummabilityWitness, _mask, _subset_weights, is_threshold, make_dnf
 from .errors import CapabilityError
-from .graphs import Graph, add_universal, disjoint_union, find_induced
+from .graphs import Graph, add_universal, disjoint_union, find_induced, is_chordal, split_partition
 from .hypergraphs import Hypergraph, neighborhood_split_graph, split_incidence_graph
 
 VERIFY_CAP = 16
@@ -43,10 +43,13 @@ class TdRecognitionReport:
 @dataclass(frozen=True)
 class HtdRecognitionReport:
     """verdict False carries the index of the forbidden catalog member found
-    and the induced embedding witnessing it."""
+    and the induced embedding witnessing it. The note names the route: the
+    host was ``split``, ``chordal`` (not split) or ``general``, which fixed
+    the catalog members searched."""
 
     verdict: bool
     witness: Optional[tuple[int, tuple[int, ...]]]
+    note: str
 
 
 def neighborhood_dnf(G: Graph) -> PositiveDNF:
@@ -96,12 +99,25 @@ def verify_td_structure(G: Graph, s: TdStructure, max_n: int = VERIFY_CAP) -> bo
 def recognize_htd(G: Graph) -> HtdRecognitionReport:
     """Hereditary recognizer: G is hereditary total domishold iff none of the
     thirteen catalog graphs embeds as an induced subgraph; the first catalog
-    hit (in index order) is returned as the witness."""
-    for entry in _catalog.forbidden_catalog():
+    hit (in index order) is returned as the witness.
+
+    An induced subgraph of a split graph is split, and one of a chordal
+    graph is chordal. So a split host is searched only for the split
+    members (F13) and a chordal host only for the chordal ones (F4..F13);
+    the others cannot embed, and the first hit is the same as in a full
+    scan.
+    """
+    if split_partition(G) is not None:
+        members, route = _catalog.SPLIT_MEMBERS, "split"
+    elif is_chordal(G):
+        members, route = _catalog.CHORDAL_MEMBERS, "chordal"
+    else:
+        members, route = _catalog.forbidden_catalog(), "general"
+    for entry in members:
         image = find_induced(G, entry.graph)
         if image is not None:
-            return HtdRecognitionReport(False, (entry.index, image))
-    return HtdRecognitionReport(True, None)
+            return HtdRecognitionReport(False, (entry.index, image), route)
+    return HtdRecognitionReport(True, None, route)
 
 
 forbidden_catalog = _catalog.forbidden_catalog

@@ -256,14 +256,17 @@ def test_criterion_10_structural_necessary_conditions(td_table, census6):
     report(10, "HTD => (1,2)-polar chordal; F8..F13 polar chordal non-TD", failures, checked)
 
 
-def test_criterion_11_split_specialization(census6):
+def test_criterion_11_split_specialization(td_table, census6):
     failures = checked = 0
-    f13 = forbidden_graph(13)
+    memo: dict = {}
+    f1_to_f12 = [entry.graph for entry in forbidden_catalog() if entry.index != 13]
     for G in census6:
         if split_partition(G) is None:
             continue
         checked += 1
-        if recognize_htd(G).verdict != (find_induced(G, f13) is None):
+        if any(find_induced(G, F) is not None for F in f1_to_f12):
+            failures += 1
+        if recognize_htd(G).verdict != htd_bruteforce(G, td_table, memo):
             failures += 1
     report(11, "split graphs: HTD == F13-free", failures, checked)
 

@@ -89,8 +89,7 @@ def test_maximal_false_points_examples():
     ]
     assert list(maximal_false_points(make_dnf(2, [[0]]))) == [frozenset({1})]
     assert list(maximal_false_points(make_dnf(2, []))) == [frozenset({0, 1})]
-    with pytest.raises(ValueError):
-        maximal_false_points(make_dnf(2, [[]]))
+    assert maximal_false_points(make_dnf(2, [[]])) == ()
 
 
 def test_maximal_false_points_are_maximal():

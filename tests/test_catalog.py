@@ -13,6 +13,7 @@ from domishold import (
     split_partition,
     verify_summability_witness,
 )
+from domishold.catalog import CHORDAL_MEMBERS, SPLIT_MEMBERS
 
 
 def is_isomorphic(G, H):
@@ -66,3 +67,8 @@ def test_constructed_witnesses_are_valid():
     for entry in forbidden_catalog():
         w = catalog_witness(entry)
         assert verify_summability_witness(neighborhood_dnf(entry.graph), w), entry.name
+
+
+def test_split_and_chordal_members():
+    assert tuple(e.index for e in SPLIT_MEMBERS) == (13,)
+    assert tuple(e.index for e in CHORDAL_MEMBERS) == tuple(range(4, 14))

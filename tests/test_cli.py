@@ -56,7 +56,7 @@ def test_recognize_td_malformed_file(write, capsys):
 
 def test_recognize_htd_exit_codes(write, capsys):
     p4 = write("p4.g", write_graph(path(4)))
-    assert run(capsys, "recognize-htd", p4)[0] == 0
+    assert run(capsys, "recognize-htd", p4) == (0, "hereditary total domishold: True (route: split)\n")
     two_p3 = write("2p3.g", write_graph(disjoint_union(path(3), path(3))))
     code, report = run_json(capsys, "recognize-htd", two_p3)
     assert code == 1 and report["witness"]["index"] == 5

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -12,6 +12,7 @@ from domishold import (
     cycle,
     disjoint_union,
     find_induced,
+    forbidden_catalog,
     forbidden_graph,
     generate,
     induced_subgraph,
@@ -115,16 +116,33 @@ def test_find_induced_examples():
     assert not brute_has_induced(cycle(6), cycle(4))
 
 
+def brute_first_induced(G, H):
+    """Independent oracle: the first induced embedding among all injections
+    in lexicographic order, or None."""
+    pairs = [(i, j, j in H.adj[i]) for i in range(H.n) for j in range(i)]
+    return next(
+        (
+            image
+            for image in permutations(range(G.n), H.n)
+            if all((image[j] in G.adj[image[i]]) == edge for i, j, edge in pairs)
+        ),
+        None,
+    )
+
+
 def test_find_induced_is_lexicographically_first_and_valid():
     rng = random.Random(4)
-    patterns = [path(3), cycle(4), complete(3), path(4)]
+    small = [path(3), cycle(4), complete(3), path(4)]
+    catalog = [entry.graph for entry in forbidden_catalog()]
     for _ in range(60):
         G = random_graph(rng, rng.randint(3, 8))
-        for H in patterns:
+        for H in small + catalog:
             image = find_induced(G, H)
-            assert (image is not None) == brute_has_induced(G, H)
+            assert image == brute_first_induced(G, H)
             if image is not None:
                 assert is_induced_embedding(G, H, image)
+        for H in small:
+            assert (find_induced(G, H) is not None) == brute_has_induced(G, H)
 
 
 def test_generate_families():

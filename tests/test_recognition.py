@@ -86,7 +86,7 @@ def test_recognize_htd_examples():
     for seed in range(10):
         assert recognize_htd(random_threshold(seed, 8)).verdict is True
     report = recognize_htd(forbidden_graph(13))
-    assert report.verdict is False
+    assert report.verdict is False and report.note == "split"
     index, image = report.witness
     assert index == 13 and image == (0, 1, 2, 3, 4, 5)  # the identity embedding
     assert is_induced_embedding(forbidden_graph(13), forbidden_graph(13), image)
@@ -96,6 +96,9 @@ def test_recognize_htd_names_first_catalog_hit():
     two_p3 = disjoint_union(path(3), path(3))
     report = recognize_htd(two_p3)
     assert report.verdict is False and report.witness[0] == 5
+    assert report.note == "chordal"
+    report = recognize_htd(cycle(5))
+    assert report.witness[0] == 2 and report.note == "general"
 
 
 def test_make_positive_formula_on_zero_weight_structure():

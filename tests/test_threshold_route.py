@@ -19,10 +19,11 @@ from domishold import (
 
 
 def berge_lp_threshold(f) -> bool:
-    """Feasibility of weights with every implicant above and every maximal
-    false point at or below the threshold."""
-    rows = [([int(i in t) for i in range(f.n)] + [-1], ">=", 1) for t in f.implicants]
-    rows += [([int(i in p) for i in range(f.n)] + [-1], "<=", 0) for p in maximal_false_points(f)]
+    """Feasibility of non-negative weights and a threshold t >= -1 with every
+    implicant above and every maximal false point at or below t; the last
+    column is t + 1."""
+    rows = [([int(i in t) for i in range(f.n)] + [-1], ">=", 0) for t in f.implicants]
+    rows += [([int(i in p) for i in range(f.n)] + [-1], "<=", -1) for p in maximal_false_points(f)]
     return lp_feasible(f.n + 1, rows, nonneg=True) is not None
 
 
@@ -75,6 +76,10 @@ def random_shifted(rng, n):
     return make_dnf(n, seen)
 
 
+def constant_one(rng, n):
+    return make_dnf(n, [[]])
+
+
 def test_neighborhood_functions_up_to_order_6(census6):
     functions = {}
     for G in census6:
@@ -90,10 +95,8 @@ def test_random_positive_functions_up_to_10_variables():
     reasons = Counter()
     for _ in range(150):
         n = rng.randint(1, 10)
-        for make in (random_antichain, random_weighted, random_shifted):
-            f = make(rng, n)
-            if not f.is_constant_one():
-                reasons[check_against_oracle(f)] += 1
+        for make in (random_antichain, random_weighted, random_shifted, constant_one):
+            reasons[check_against_oracle(make(rng, n))] += 1
     assert all(reasons[r] for r in ("separating-structure", "non-regular", "lp-infeasible")), reasons
 
 
