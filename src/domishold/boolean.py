@@ -41,13 +41,22 @@ class PositiveDNF:
         canon = tuple(sorted((frozenset(t) for t in self.implicants), key=lambda t: tuple(sorted(t))))
         if len(set(canon)) != len(canon):
             raise ValueError("duplicate implicants")
+        _check_range(self.n, canon)
         for t in canon:
-            for v in t:
-                if not 0 <= v < self.n:
-                    raise ValueError(f"implicant variable {v} out of range for n={self.n}")
             if any(s != t and s <= t for s in canon):
                 raise ValueError("implicants must form an antichain")
         object.__setattr__(self, "implicants", canon)
+
+    @classmethod
+    def _from_minimal(cls, n: int, implicants: tuple[frozenset[int], ...]) -> PositiveDNF:
+        """Wrap implicants that are already inclusion-minimal, deduplicated
+        and canonically sorted, skipping the pairwise antichain check; only
+        the variable range is checked."""
+        _check_range(n, implicants)
+        f = object.__new__(cls)
+        object.__setattr__(f, "n", n)
+        object.__setattr__(f, "implicants", implicants)
+        return f
 
     def is_constant_zero(self) -> bool:
         return not self.implicants
@@ -56,11 +65,18 @@ class PositiveDNF:
         return any(not t for t in self.implicants)
 
 
+def _check_range(n: int, implicants: tuple[frozenset[int], ...]) -> None:
+    for t in implicants:
+        for v in t:
+            if not 0 <= v < n:
+                raise ValueError(f"implicant variable {v} out of range for n={n}")
+
+
 def make_dnf(n: int, terms: Iterable[Iterable[int]]) -> PositiveDNF:
     """Minimize arbitrary positive DNF terms to the complete (prime
     implicant) DNF of the function they define.
     """
-    return PositiveDNF(n, _minimal_sets(tuple(frozenset(t) for t in terms)))
+    return PositiveDNF._from_minimal(n, _minimal_sets(frozenset(t) for t in terms))
 
 
 def dnf_of_hypergraph(H: Hypergraph) -> PositiveDNF:

@@ -9,6 +9,7 @@ unknown.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -350,15 +351,28 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the report to a file instead of stdout")
 
 
+DEFAULT_SEED = 20130919
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every subcommand.
+
+    It reads nothing from the environment, so one parser is built per
+    process, on the first ``main`` call, and reused by every later call.
+    The ``--seed`` default is left as None and resolved by ``main``.
+    """
     parser = argparse.ArgumentParser(
         prog="domishold",
         description="Recognition and solving toolkit for total domishold graphs, "
         "threshold hypergraphs and threshold positive Boolean functions.",
     )
-    default_seed = int(os.environ.get("DOMISHOLD_SEED", "20130919"))
     seed_parent = argparse.ArgumentParser(add_help=False)
-    seed_parent.add_argument("--seed", type=int, default=default_seed, help="random seed")
+    seed_parent.add_argument(
+        "--seed",
+        type=int,
+        help=f"random seed (default: $DOMISHOLD_SEED, else {DEFAULT_SEED})",
+    )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_parser(name, **kwargs):
@@ -415,6 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code.
+
+    The parser is built once per process and shared by every call; the
+    ``--seed`` default is resolved per call from ``DOMISHOLD_SEED``.
+    """
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -422,6 +441,8 @@ def main(argv=None) -> int:
     if args.subcommand == "equivalence" and args.path is None and args.census is None:
         parser.error("equivalence needs a graph file or --census N")
     try:
+        if args.seed is None:
+            args.seed = int(os.environ.get("DOMISHOLD_SEED", DEFAULT_SEED))
         return args.func(args)
     except CapabilityError as exc:
         print(f"unknown: {exc}", file=sys.stderr)

@@ -310,28 +310,35 @@ def is_chordal(G: Graph) -> bool:
     """True iff G has no induced cycle of length at least 4.
 
     Maximum cardinality search followed by a perfect elimination ordering
-    check; G is chordal iff the MCS ordering eliminates perfectly.
+    check; G is chordal iff the MCS ordering eliminates perfectly. Both run
+    in linear time: MCS keeps the unvisited vertices in buckets by weight,
+    and each vertex finds its latest earlier neighbour by position.
     """
     n = G.n
-    if n == 0:
-        return True
     weight = [0] * n
-    order: list[int] = []
-    visited = [False] * n
-    for _ in range(n):
-        v = max((u for u in range(n) if not visited[u]), key=lambda u: (weight[u], -u))
-        visited[v] = True
-        order.append(v)
+    buckets: list[set[int]] = [set() for _ in range(n + 1)]
+    buckets[0].update(range(n))
+    position = [-1] * n
+    top = 0
+    for i in range(n):
+        while not buckets[top]:
+            top -= 1
+        v = buckets[top].pop()
+        position[v] = i
         for u in G.adj[v]:
-            if not visited[u]:
+            if position[u] < 0:
+                buckets[weight[u]].remove(u)
                 weight[u] += 1
-    # perfect elimination order is the reverse of the MCS visit order
-    position = {v: i for i, v in enumerate(order)}
-    for v in reversed(order):
+                buckets[weight[u]].add(u)
+        top += 1  # a visit raises each weight by at most one
+    # the reverse of the MCS visit order must eliminate perfectly: the
+    # earlier neighbours of each vertex lie in its latest earlier neighbour's
+    # neighbourhood
+    for v in range(n):
         earlier = [u for u in G.adj[v] if position[u] < position[v]]
         if not earlier:
             continue
-        u = max(earlier, key=lambda w: position[w])
+        u = max(earlier, key=position.__getitem__)
         if any(w != u and w not in G.adj[u] for w in earlier):
             return False
     return True

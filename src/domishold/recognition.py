@@ -160,24 +160,22 @@ def structure_add_universal(G: Graph, s: TdStructure) -> tuple[Graph, TdStructur
     return G2, candidate
 
 
-def unique_minimal_tds(H: Graph, max_n: int = VERIFY_CAP) -> Optional[frozenset[int]]:
+def unique_minimal_tds(H: Graph) -> Optional[frozenset[int]]:
     """The unique inclusion-minimal total dominating set if there is exactly
-    one, else None. The intersection of all total dominating sets is the
-    unique minimal one exactly when it is itself total dominating."""
-    if H.n > max_n:
-        raise CapabilityError(f"brute-force enumeration capped at {max_n} vertices")
-    masks = [_mask(N) for N in H.adj]
-    common = (1 << H.n) - 1
-    found = False
-    for sub in range(1 << H.n):
-        if all(m & sub for m in masks):
-            common &= sub
-            found = True
-    if not found:
+    one, else None, in linear time.
+
+    Without isolated vertices, x lies in every total dominating set iff
+    some vertex has N(v) = {x}: otherwise V - {x} total-dominates. So the
+    intersection of all total dominating sets is this forced set, and it is
+    the unique minimal one exactly when it is itself total dominating. A
+    graph with an isolated vertex has no total dominating set.
+    """
+    if H.has_isolated_vertex():
         return None
-    if not all(m & common for m in masks):
+    forced = frozenset(next(iter(N)) for N in H.adj if len(N) == 1)
+    if not all(N & forced for N in H.adj):
         return None
-    return frozenset(i for i in range(H.n) if common >> i & 1)
+    return forced
 
 
 def structure_union_unique_min(

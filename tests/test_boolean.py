@@ -38,6 +38,18 @@ def test_make_dnf_examples():
         PositiveDNF(3, (frozenset({0}), frozenset({0, 1})))  # not an antichain
 
 
+def test_make_dnf_equals_validated_construction():
+    rng = random.Random(44)
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        terms = [rng.sample(range(n), rng.randint(0, n)) for _ in range(rng.randint(0, 10))]
+        f = make_dnf(n, terms)
+        assert f == PositiveDNF(n, f.implicants) and hash(f) == hash(PositiveDNF(n, f.implicants))
+        if all(terms):  # an empty term absorbs every other one
+            with pytest.raises(ValueError):
+                make_dnf(n, terms + [[n]])
+
+
 def test_evaluate_examples():
     f = make_dnf(3, [[0, 1]])
     assert evaluate(f, (1, 1, 0)) == 1

@@ -193,6 +193,81 @@ def test_seed_env_variable_is_default(write, capsys, monkeypatch):
     code, text = run(capsys, "generate", "random_threshold", "5")
     code2, text2 = run(capsys, "generate", "random_threshold", "5", "--seed", "77")
     assert code == code2 == 0 and text == text2
+    # the default is resolved per call, not when the shared parser is built
+    monkeypatch.setenv("DOMISHOLD_SEED", "78")
+    code3, text3 = run(capsys, "generate", "random_threshold", "5")
+    code4, text4 = run(capsys, "generate", "random_threshold", "5", "--seed", "78")
+    assert code3 == code4 == 0 and text3 == text4 != text
+    monkeypatch.setenv("DOMISHOLD_SEED", "abc")
+    assert main(["generate", "random_threshold", "5"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    monkeypatch.delenv("DOMISHOLD_SEED")
+    code5, text5 = run(capsys, "generate", "random_threshold", "5")
+    code6, text6 = run(capsys, "generate", "random_threshold", "5", "--seed", "20130919")
+    assert code5 == code6 == 0 and text5 == text6
+
+
+def _call_outputs(capsys, tmp_path, argv):
+    """Exit code, stdout, stderr and written files of one call, with the
+    timing field dropped from JSON reports."""
+
+    def normalize(text):
+        try:
+            report = json.loads(text)
+        except ValueError:
+            return text
+        report.pop("elapsed_ms", None)
+        return report
+
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    files = {p.name: normalize(p.read_text()) for p in sorted(tmp_path.glob("*.out"))}
+    for p in tmp_path.glob("*.out"):
+        p.unlink()
+    return code, normalize(captured.out), captured.err, files
+
+
+def test_calls_do_not_depend_on_earlier_calls(write, capsys, tmp_path):
+    k4 = write("k4.g", write_graph(complete(4)))
+    c4 = write("c4.g", write_graph(cycle(4)))
+    p4 = write("p4.g", write_graph(path(4)))
+    star = write("star.g", "p graph 4 3\ne 1 2\ne 1 3\ne 1 4\n")
+    h = write("h.h", write_hypergraph(Hypergraph.make(3, [[0, 1], [0, 2]])))
+    out = str(tmp_path / "report.out")
+    calls = [
+        ["recognize-td", k4, "--oracle", "--json", "--out", out],
+        ["recognize-td", k4],
+        ["recognize-td", c4, "--oracle"],
+        ["recognize-td", c4, "--json"],
+        ["solve", k4, "--tds", "--oracle", "--json"],
+        ["solve", star, "--ds"],
+        ["solve", c4, "--tds", "--out", out],
+        ["solve", k4, "--ds", "--oracle", "--max-oracle-n", "2"],
+        ["equivalence", p4, "--json"],
+        ["equivalence", "--census", "3"],
+        ["equivalence", "--census", "3", "--json", "--out", out],
+        ["equivalence", c4],
+        ["hypergraph", h, "--threshold", "--json"],
+        ["hypergraph", h, "--dually-sperner"],
+        ["recognize-htd", p4, "--json", "--out", out],
+        ["generate", "random_threshold", "6", "--seed", "5"],
+        ["generate", "random_threshold", "6"],
+    ]
+    forward = [_call_outputs(capsys, tmp_path, argv) for argv in calls]
+    backward = [_call_outputs(capsys, tmp_path, argv) for argv in reversed(calls)]
+    for argv, one, other in zip(calls, forward, reversed(backward)):
+        assert one == other, argv
+    assert [code for code, *_ in forward] == [0, 0, 1, 1, 0, 0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+
+
+def test_usage_errors_exit_2_after_earlier_calls(write, capsys):
+    k4 = write("k4.g", write_graph(complete(4)))
+    for argv in (["mystery", k4], ["solve", k4], ["equivalence"]):
+        assert main(["recognize-td", k4]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "usage:" in capsys.readouterr().err, argv
 
 
 def test_max_oracle_n_cap_propagates(write, capsys):

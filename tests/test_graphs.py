@@ -210,6 +210,14 @@ def test_chordal_agrees_with_induced_cycle_search_up_to_n6():
             assert is_chordal(G) == free, (n, G.edges())
 
 
+def test_chordal_agrees_with_induced_cycle_search_on_random_graphs():
+    rng = random.Random(48)
+    for _ in range(150):
+        G = random_graph(rng, rng.randint(4, 10))
+        free = all(find_induced(G, cycle(k)) is None for k in range(4, G.n + 1))
+        assert is_chordal(G) == free, G.edges()
+
+
 def test_12_polar_examples():
     assert is_12_polar(complete(5))
     assert is_12_polar(star(4))

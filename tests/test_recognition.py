@@ -8,6 +8,7 @@ from domishold import (
     Hypergraph,
     TdStructure,
     add_pendant,
+    all_graphs,
     check_equivalence_chain,
     complete,
     cycle,
@@ -160,6 +161,32 @@ def test_unique_minimal_tds_examples():
         assert unique_minimal_tds(G) == frozenset(range(base.n))
     # no total dominating sets at all
     assert unique_minimal_tds(Graph.from_edges(2, [])) is None
+
+
+def unique_minimal_tds_bruteforce(H):
+    """Intersect every total dominating set, found by a 2^n subset sweep."""
+    masks = [sum(1 << u for u in N) for N in H.adj]
+    common = (1 << H.n) - 1
+    found = False
+    for sub in range(1 << H.n):
+        if all(m & sub for m in masks):
+            common &= sub
+            found = True
+    if not found or not all(m & common for m in masks):
+        return None
+    return frozenset(i for i in range(H.n) if common >> i & 1)
+
+
+def test_unique_minimal_tds_agrees_with_subset_sweep():
+    graphs = [G for n in range(6) for G in all_graphs(n)]
+    rng = random.Random(45)
+    for _ in range(30):
+        graphs.append(random_graph(rng, rng.randint(6, 12)))
+        base = random_graph(rng, rng.randint(2, 6))
+        graphs.append(add_pendant(base))
+        graphs.append(disjoint_union(add_pendant(base), random_graph(rng, rng.randint(0, 4))))
+    for G in graphs:
+        assert unique_minimal_tds(G) == unique_minimal_tds_bruteforce(G), G.edges()
 
 
 def test_embed_into_td_c4():
