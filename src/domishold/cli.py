@@ -60,7 +60,7 @@ def _report_skeleton(args) -> dict:
 
 
 def _emit(args, report: dict, human_lines: list[str]) -> None:
-    text = json.dumps(report, indent=2) if args.json else "\n".join(human_lines)
+    text = json.dumps(report) if args.json else "\n".join(human_lines)
     if getattr(args, "out", None):
         Path(args.out).write_text(text + "\n", encoding="utf-8")
     else:

@@ -1,9 +1,25 @@
-"""Exact rational linear feasibility via a self-contained phase-1 simplex.
+"""Exact rational linear feasibility by the least-index criss-cross method.
 
-No floating point anywhere in the decision path: the tableau is kept as
-integers with a single positive denominator (fraction-free pivoting), so
-every verdict and every returned point is exact. Bland's rule is used for
-both the entering and leaving choices, which guarantees termination.
+No floating point anywhere in the decision path. The system is put in
+condensed (Tucker) dictionary form: every inequality row i owns a slack
+``s_i = b_i + sum_j a_ij x_j`` that must be >= 0, an equality becomes two
+opposite rows, and a free variable is split as x+ - x-. The dictionary is
+kept fraction-free: integer numerators over one positive denominator, so
+each pivot update ``(a*p - f*g) // den`` divides exactly (Edmonds 1967).
+
+The pivot loop is the criss-cross method of Terlaky (1985) with a zero
+objective: take the lowest-indexed basic variable with a negative value and
+pivot it out against the lowest-indexed nonbasic variable with a positive
+coefficient in its row. No ratio test, phase split, slack column or
+artificial column is needed. The least-index rule makes the loop finite
+(Terlaky 1985; Fukuda and Terlaky 1997): were a basis repeated, the
+highest-indexed variable that enters and leaves within the cycle would give,
+at the two dictionaries where it is chosen, a vector of the row space and
+one of the kernel of the system whose inner product the sign rules force to
+be nonzero, against their orthogonality. A negative row with no positive
+coefficient sets its basic variable to a negative constant plus
+non-positive multiples of non-negative variables: that row is a Farkas
+combination of the constraints proving the system infeasible.
 """
 
 from __future__ import annotations
@@ -33,17 +49,12 @@ def lp_feasible(
     """
     if num_vars < 0:
         raise ValueError("num_vars must be non-negative")
-    for coeffs, sense, _ in constraints:
+    rows: list[list[int]] = []  # [b, a_1, ..., a_ncols] for s = b + a.x >= 0
+    for coeffs, sense, b in constraints:
         if len(coeffs) != num_vars:
             raise ValueError(f"constraint has {len(coeffs)} coefficients, expected {num_vars}")
         if sense not in _SENSES:
             raise ValueError(f"unknown sense {sense!r}")
-
-    ncols = num_vars if nonneg else 2 * num_vars
-    rows: list[list[int]] = []
-    senses: list[str] = []
-    rhs: list[int] = []
-    for coeffs, sense, b in constraints:
         if isinstance(b, int) and all(isinstance(c, int) for c in coeffs):
             ints = list(coeffs)
         else:
@@ -51,115 +62,56 @@ def lp_feasible(
             fb = Fraction(b)
             scale = lcm(fb.denominator, *(c.denominator for c in frac))
             ints, b = [int(c * scale) for c in frac], int(fb * scale)
-        if nonneg:
-            row = ints
-        else:
-            row = []
-            for a in ints:
-                row += [a, -a]
-        rows.append(row)
-        senses.append(sense)
-        rhs.append(b)
+        if not nonneg:
+            ints = [v for a in ints for v in (a, -a)]
+        if sense != ">=":  # b - a.x >= 0
+            rows.append([b] + [-a for a in ints])
+        if sense != "<=":  # a.x - b >= 0
+            rows.append([-b] + ints)
 
-    point = _phase1(ncols, rows, senses, rhs)
-    if point is None:
-        return None
-    if nonneg:
+    ncols = num_vars if nonneg else 2 * num_vars
+    point = _criss_cross(ncols, rows)
+    if point is None or nonneg:
         return point
     return [point[2 * j] - point[2 * j + 1] for j in range(num_vars)]
 
 
-def _phase1(ncols, rows, senses, rhs):
-    """Integer-pivoting phase-1 simplex; returns column values or None."""
-    m = len(rows)
-    if m == 0:
-        return [Fraction(0)] * ncols
-
-    # equality form: slack +1 for <=, -1 for >=; rows flipped to make b >= 0
-    nslack = sum(1 for s in senses if s != "==")
-    tableau: list[list[int]] = []
-    slack_col = ncols
-    slack_of_row: list[Optional[int]] = []
-    for i in range(m):
-        row = rows[i] + [0] * nslack + [rhs[i]]
-        if senses[i] == "==":
-            slack_of_row.append(None)
-        else:
-            row[slack_col] = 1 if senses[i] == "<=" else -1
-            slack_of_row.append(slack_col)
-            slack_col += 1
-        if row[-1] < 0:
-            row = [-a for a in row]
-        tableau.append(row)
-
-    # identity basis: a slack with coefficient +1, else a fresh artificial
-    basis: list[int] = []
-    art_cols: list[int] = []
-    next_col = ncols + nslack
-    for i in range(m):
-        sc = slack_of_row[i]
-        if sc is not None and tableau[i][sc] == 1:
-            basis.append(sc)
-        else:
-            basis.append(next_col)
-            art_cols.append(next_col)
-            next_col += 1
-    total = next_col
-    for i in range(m):
-        b = tableau[i].pop()
-        tableau[i] += [0] * (total - (ncols + nslack)) + [b]
-        if basis[i] >= ncols + nslack:
-            tableau[i][basis[i]] = 1
-    rhs_col = total
-
-    # objective: minimize the sum of artificials, reduced w.r.t. the basis
-    obj = [0] * (total + 1)
-    for c in art_cols:
-        obj[c] = 1
-    for i in range(m):
-        if basis[i] in art_cols:
-            row = tableau[i]
-            obj = [o - r for o, r in zip(obj, row)]
-    den = 1  # positive denominator shared by tableau and objective row
-
+def _criss_cross(ncols: int, rows: list[list[int]]) -> Optional[list[Fraction]]:
+    """Least-index criss-cross on the dictionary ``rows``; returns the
+    values of the ncols structural variables, or None. Variables
+    0..ncols-1 are structural and ncols + i is row i's slack. Row i gives
+    basic variable ``basis[i]``; its entry 0 is the constant and its entry
+    j >= 1 the coefficient of nonbasic variable ``cols[j]``."""
+    basis = list(range(ncols, ncols + len(rows)))
+    cols = [-1, *range(ncols)]
+    den = 1
     while True:
-        entering = next((j for j in range(total) if obj[j] < 0), None)
-        if entering is None:
+        r = min((i for i, row in enumerate(rows) if row[0] < 0), key=basis.__getitem__, default=None)
+        if r is None:
             break
-        # Bland leaving rule: smallest ratio, ties by smallest basic index
-        leaving = None
-        for i in range(m):
-            a = tableau[i][entering]
-            if a <= 0:
+        prow = rows[r]
+        q = min((j for j in range(1, ncols + 1) if prow[j] > 0), key=cols.__getitem__, default=None)
+        if q is None:
+            return None  # s_r = b_r + (non-positive terms) < 0
+        p = prow[q]
+        for i, row in enumerate(rows):
+            if i == r:
                 continue
-            if leaving is None:
-                leaving = i
-                continue
-            lhs = tableau[i][rhs_col] * tableau[leaving][entering]
-            rhsv = tableau[leaving][rhs_col] * a
-            if lhs < rhsv or (lhs == rhsv and basis[i] < basis[leaving]):
-                leaving = i
-        if leaving is None:
-            raise AssertionError("phase-1 objective cannot be unbounded")
-        pivot = tableau[leaving][entering]
-        prow = tableau[leaving]
-        for i in range(m):
-            if i == leaving:
-                continue
-            row = tableau[i]
-            f = row[entering]
-            if f == 0 and pivot == den:
-                continue
-            tableau[i] = [(pivot * row[j] - f * prow[j]) // den for j in range(total + 1)]
-        f = obj[entering]
-        obj = [(pivot * obj[j] - f * prow[j]) // den for j in range(total + 1)]
-        basis[leaving] = entering
-        den = pivot
-
-    if obj[rhs_col] != 0:  # optimum is -obj[rhs_col]/den; nonzero means infeasible
-        return None
+            f = row[q]
+            if f == 0:
+                if p != den:
+                    rows[i] = [a * p // den for a in row]
+            else:
+                new = [(a * p - f * g) // den for a, g in zip(row, prow)]
+                new[q] = f
+                rows[i] = new
+        new = [-g for g in prow]
+        new[q] = den
+        rows[r] = new
+        basis[r], cols[q] = cols[q], basis[r]
+        den = p
     values = [Fraction(0)] * ncols
-    for i in range(m):
-        if basis[i] < ncols:
-            values[basis[i]] = Fraction(tableau[i][rhs_col], den)
+    for i, v in enumerate(basis):
+        if v < ncols:
+            values[v] = Fraction(rows[i][0], den)
     return values

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import domishold.boolean
+from domishold import all_graphs, is_threshold, make_dnf, neighborhood_dnf
 from domishold.lp import lp_feasible
 
 
@@ -192,7 +194,7 @@ def test_farkas_certified_infeasible_systems():
 
 
 def test_degenerate_systems_terminate_and_answer_correctly():
-    # many zero right-hand sides force degenerate pivots; Bland's rule
+    # many zero right-hand sides force degenerate pivots; the least-index rule
     # must still terminate with the right verdict
     rng = random.Random(9)
     for _ in range(120):
@@ -208,3 +210,96 @@ def test_degenerate_systems_terminate_and_answer_correctly():
         # adding a constraint cutting off the whole cone may flip it
         constraints.append(([0] * m, ">=", 1))
         assert lp_feasible(m, constraints) is None
+
+
+def _nonneg_rows(num_vars):
+    return [([int(i == j) for i in range(num_vars)], ">=", 0) for j in range(num_vars)]
+
+
+def test_route_lps_agree_with_fourier_motzkin(monkeypatch):
+    # the floors/ceilings LPs the threshold route itself builds, checked
+    # against an oracle that shares no code with lp_feasible
+    calls = []
+
+    def record(num_vars, constraints, nonneg=False):
+        calls.append((num_vars, list(constraints), nonneg))
+        return lp_feasible(num_vars, constraints, nonneg)
+
+    monkeypatch.setattr(domishold.boolean, "lp_feasible", record)
+    for n in range(6):
+        for G in all_graphs(n):
+            if not G.has_isolated_vertex():
+                is_threshold(neighborhood_dnf(G))
+    # regular, but its LP is infeasible (tests/test_threshold_route.py)
+    is_threshold(
+        make_dnf(6, [[0, 1], [0, 2], [0, 3, 4, 5], [1, 2, 3, 4], [1, 2, 3, 5], [1, 2, 4, 5], [1, 3, 4, 5]])
+    )
+    verdicts = set()
+    for num_vars, constraints, nonneg in calls:
+        assert nonneg
+        point = lp_feasible(num_vars, constraints, nonneg=True)
+        oracle = _fourier_motzkin_feasible(num_vars, constraints + _nonneg_rows(num_vars))
+        assert (point is not None) == oracle, constraints
+        if point is not None:
+            assert _satisfies(point, constraints) and min(point) >= 0
+        verdicts.add(oracle)
+    assert verdicts == {True, False}
+
+
+def test_beale_cycling_example_terminates():
+    # Beale (1955) in its usual textbook scaling: minimize
+    # -3/4 x1 + 150 x2 - 1/50 x3 + 6 x4 over the rows below and x >= 0; the
+    # optimum is -1/20, and the largest-coefficient simplex rule cycles on it
+    rows = [
+        ([Fraction(1, 4), -60, Fraction(-1, 25), 9], "<=", 0),
+        ([Fraction(1, 2), -90, Fraction(-1, 50), 3], "<=", 0),
+        ([0, 0, 1, 0], "<=", 1),
+    ]
+    objective = [Fraction(-3, 4), 150, Fraction(-1, 50), 6]
+    attained = rows + [(objective, "<=", Fraction(-1, 20))]
+    point = lp_feasible(4, attained, nonneg=True)
+    assert point is not None and _satisfies(point, attained + _nonneg_rows(4))
+    beyond = rows + [(objective, "<=", Fraction(-1, 20) - Fraction(1, 1000))]
+    assert lp_feasible(4, beyond, nonneg=True) is None
+    assert not _fourier_motzkin_feasible(4, beyond + _nonneg_rows(4))
+
+
+def test_klee_minty_cube_terminates():
+    # Klee and Minty (1972), d = 6, indices from 1: maximize sum 2^(d-j) x_j
+    # subject to 2 sum_{j<i} 2^(i-j) x_j + x_i <= 5^i and x >= 0; the
+    # optimum 5^d is attained only at (0, ..., 0, 5^d)
+    d = 6
+    rows = [
+        ([2 ** (i - j + 1) if j < i else int(j == i) for j in range(d)], "<=", 5 ** (i + 1))
+        for i in range(d)
+    ]
+    objective = [2 ** (d - 1 - j) for j in range(d)]
+    attained = rows + [(objective, ">=", 5**d)]
+    point = lp_feasible(d, attained, nonneg=True)
+    assert point is not None and _satisfies(point, attained)
+    assert point == [0] * (d - 1) + [5**d]
+    assert lp_feasible(d, rows + [(objective, ">=", 5**d + 1)], nonneg=True) is None
+
+
+def test_result_contract():
+    # the benchmark's tracer reads the arguments and result[i].numerator
+    rng = random.Random(10)
+    outcomes = set()
+    for _ in range(80):
+        m = rng.randint(0, 4)
+        nonneg = rng.random() < 0.5
+        constraints = [
+            ([rng.randint(-3, 3) for _ in range(m)], rng.choice(["<=", ">=", "=="]), rng.randint(-4, 4))
+            for _ in range(rng.randint(0, 5))
+        ]
+        point = lp_feasible(m, constraints, nonneg=nonneg)
+        outcomes.add(point is None)
+        if point is None:
+            assert not _fourier_motzkin_feasible(m, constraints + (_nonneg_rows(m) if nonneg else []))
+            continue
+        assert type(point) is list and len(point) == m
+        assert all(type(x) is Fraction for x in point)
+        assert _satisfies(point, constraints)
+        if nonneg:
+            assert all(x >= 0 for x in point)
+    assert outcomes == {True, False}
