@@ -8,9 +8,13 @@ Recognition is polynomial and never dualizes: the strength order of the
 variables either exposes an incomparable pair (a 2-summability witness) or
 makes the function regular; the maximal false points of a regular function
 are then read off its implicants by shifting, and a small exact LP with one
-column per class of equally strong variables decides the weights. Berge
-dualization (``dual``, ``maximal_false_points``) and the exhaustive
-``is_k_summable`` stay as independent oracles.
+column per class of equally strong variables decides the weights.
+
+``verify_separating_structure`` checks a structure in polynomial time at
+any size and shares no code with recognition: it takes its variable order
+from the claimed weights, not from the strength order. Berge dualization
+(``dual``, ``maximal_false_points``) and the exhaustive ``is_k_summable``
+stay as independent oracles.
 """
 
 from __future__ import annotations
@@ -122,29 +126,69 @@ class SeparatingStructure:
     t: int
 
 
-def verify_separating_structure(
-    f: PositiveDNF, s: SeparatingStructure, max_n: int = 16
-) -> bool:
-    """Exhaustively check the separating property over all 2^n points."""
-    if f.n > max_n:
-        raise CapabilityError(f"exhaustive verification capped at {max_n} variables")
+def verify_separating_structure(f: PositiveDNF, s: SeparatingStructure) -> bool:
+    """Check that s separates f, in time polynomial in n and the number of
+    implicants; the order of the check comes from s (see ``_separates``)."""
     if len(s.weights) != f.n or s.t < -1 or any(w < 0 for w in s.weights):
         return False
-    imp_masks = [_mask(t) for t in f.implicants]
-    for mask, total in enumerate(_subset_weights(f.n, s.weights)):
-        truth = any(im & mask == im for im in imp_masks)
-        if (total <= s.t) == truth:
+    return _separates(f.implicants, s.weights, s.t)
+
+
+def _separates(terms: Iterable[Iterable[int]], weights: Sequence[int], t: int) -> bool:
+    """Whether the non-negative weights and t separate the positive function
+    whose true points are the supersets of the terms, given by any DNF that
+    contains its prime implicants: true points weigh more than t, false
+    points at most t.
+
+    1. Every term weighs at least t + 1, hence so does every true point.
+    2. Order the variables heaviest first, ties by index. If (w, t) is valid,
+       w_i >= w_k makes i at least as strong as k: a term T with k in T and
+       i not in T has T - k + i weighing at least w(T) > t, so true. The
+       swap test on each adjacent pair therefore holds, and as strength is
+       transitive it certifies that the function is regular in this order.
+    3. In that order every maximal false point y is the shift
+       (T & earlier(k)) | later(k) of a term T (Peled & Simeone 1985): take
+       the last k not in y and a term T within y + k. T contains k, and a j
+       in y & earlier(k) outside T would make T - k + j, a subset of y,
+       true. So if every shift contains a term or weighs at most t, every
+       false point weighs at most t. Constant 0 has the full set as its one
+       maximal false point.
+    """
+    n = len(weights)
+    order = sorted(range(n), key=lambda v: (-weights[v], v))
+    rank = {v: r for r, v in enumerate(order)}
+    # each term's mask and variables in that order; small terms first, as
+    # they are the likeliest to lie within a point
+    members = {_mask(T): sorted(T, key=rank.__getitem__) for T in sorted(terms, key=len)}
+
+    def true(p: int) -> bool:
+        return any(s & p == s for s in members)
+
+    if not members:
+        return sum(weights) <= t
+    containing: list[list[int]] = [[] for _ in range(n)]
+    for s, vs in members.items():
+        for v in vs:
+            containing[v].append(s)
+    for i, k in zip(order, order[1:]):
+        bi, bk = 1 << i, 1 << k
+        if any(not s & bi and not true(s ^ bk | bi) for s in containing[k]):
+            return False
+    later, later_weight = [0] * n, [0] * n
+    mask = total = 0
+    for v in reversed(order):
+        later[v], later_weight[v] = mask, total
+        mask |= 1 << v
+        total += weights[v]
+    for s, vs in members.items():
+        head = 0  # the weight of s & earlier(k)
+        for k in vs:
+            if head + later_weight[k] > t and not true(s ^ (1 << k) | later[k]):
+                return False
+            head += weights[k]
+        if head <= t:
             return False
     return True
-
-
-def _subset_weights(n: int, weights: Sequence[int]) -> list[int]:
-    """Weight of every subset of range(n), indexed by bitmask."""
-    totals = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        totals[mask] = totals[mask ^ low] + weights[low.bit_length() - 1]
-    return totals
 
 
 @dataclass(frozen=True)
@@ -157,10 +201,14 @@ class SummabilityWitness:
 
 
 def verify_summability_witness(f: PositiveDNF, w: SummabilityWitness) -> bool:
+    """Check the witness; every entry must be the int 0 or 1."""
     r = len(w.false_points)
     if r < 2 or len(w.true_points) != r:
         return False
-    if any(len(p) != f.n for p in w.false_points + w.true_points):
+    points = w.false_points + w.true_points
+    if any(len(p) != f.n for p in points):
+        return False
+    if any(type(x) is not int or x not in (0, 1) for p in points for x in p):
         return False
     if any(evaluate(f, p) != 0 for p in w.false_points):
         return False

@@ -98,13 +98,6 @@ def cmd_recognize_td(args) -> int:
     if result.structure is not None:
         report["structure"] = _structure_dict(result.structure)
         human.append(f"weights: {list(result.structure.weights)}  t: {result.structure.t}")
-        if args.oracle and G.n <= args.max_oracle_n:
-            ok = verify_td_structure(G, result.structure, max_n=args.max_oracle_n)
-            human.append(f"oracle verification: {'ok' if ok else 'FAILED'}")
-            if not ok:
-                report["error"] = "structure failed exhaustive verification"
-                _emit(args, report, human)
-                return EXIT_ERROR
     if result.witness is not None:
         report["witness"] = _summability_dict(result.witness)
         human.append("2-summability witness on the neighborhood function found")
@@ -297,9 +290,7 @@ def _report_checks(text: str, report: dict) -> list[tuple[str, bool]]:
         H = parse_hypergraph(text)
         f = dnf_of_hypergraph(H)
         if report.get("structure"):
-            s = SeparatingStructure(
-                tuple(report["structure"]["weights"]), report["structure"]["t"]
-            )
+            s = SeparatingStructure(*_integral_structure(report["structure"]))
             checks.append(("separating structure", verify_separating_structure(f, s)))
         if report.get("witness") and report["witness"]["kind"] == "summability":
             w = _witness_from_dict(report["witness"])
@@ -316,9 +307,7 @@ def _report_checks(text: str, report: dict) -> list[tuple[str, bool]]:
     else:
         G = parse_graph(text)
         if report.get("structure"):
-            s = TdStructure(
-                tuple(report["structure"]["weights"]), report["structure"]["t"]
-            )
+            s = TdStructure(*_integral_structure(report["structure"]))
             checks.append(("total domishold structure", verify_td_structure(G, s)))
         if report.get("witness"):
             kind = report["witness"]["kind"]
@@ -337,6 +326,15 @@ def _report_checks(text: str, report: dict) -> list[tuple[str, bool]]:
                     ("forbidden subgraph embedding", is_induced_embedding(G, pattern, image))
                 )
     return checks
+
+
+def _integral_structure(d: dict) -> tuple[tuple[int, ...], int]:
+    """The weights and threshold of a reported structure; a value that is
+    not an int (a bool or a float included) makes the report malformed."""
+    weights, t = tuple(d["weights"]), d["t"]
+    if any(type(x) is not int for x in (*weights, t)):
+        raise ValueError("malformed report: structure values must be integers")
+    return weights, t
 
 
 def _witness_from_dict(d: dict) -> SummabilityWitness:
@@ -380,8 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("recognize-td", help="total domishold recognition with certificate")
     p.add_argument("path")
-    p.add_argument("--oracle", action="store_true", help="exhaustively re-verify the structure")
-    p.add_argument("--max-oracle-n", type=int, default=16)
     _add_common(p)
     p.set_defaults(func=cmd_recognize_td)
 

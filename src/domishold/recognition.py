@@ -1,4 +1,5 @@
-"""Total domishold recognition with verifiable certificates, the hereditary
+"""Total domishold recognition with certificates (``verify_td_structure``
+checks a structure in polynomial time at any size), the hereditary
 recognizer over the forbidden catalog, the structure-preserving graph
 transformations with their explicit weight constructions, and the
 equivalence check that decides total domishold membership on the graph and
@@ -11,12 +12,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import catalog as _catalog
-from .boolean import PositiveDNF, SummabilityWitness, _mask, _subset_weights, is_threshold, make_dnf
-from .errors import CapabilityError
+from .boolean import PositiveDNF, SummabilityWitness, _separates, is_threshold, make_dnf
 from .graphs import Graph, add_universal, disjoint_union, find_induced, is_chordal, split_partition
 from .hypergraphs import Hypergraph, neighborhood_split_graph, split_incidence_graph
-
-VERIFY_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -82,18 +80,15 @@ def recognize_td(G: Graph, want_witness: bool = True) -> TdRecognitionReport:
     return TdRecognitionReport(False, None, witness, report.reason)
 
 
-def verify_td_structure(G: Graph, s: TdStructure, max_n: int = VERIFY_CAP) -> bool:
-    """Exhaustive oracle: over all 2^n subsets, the weight reaches t exactly
-    on the total dominating sets."""
-    if G.n > max_n:
-        raise CapabilityError(f"exhaustive verification capped at {max_n} vertices")
+def verify_td_structure(G: Graph, s: TdStructure) -> bool:
+    """Check that a set is total dominating exactly when its weight reaches
+    t, in polynomial time. S is total dominating iff V - S contains no
+    neighborhood, so (w, t) is such a structure iff (w, sum(w) - t)
+    separates the neighborhood function; the neighborhoods themselves serve
+    as its terms."""
     if len(s.weights) != G.n or s.t < 0 or any(w < 0 for w in s.weights):
         return False
-    masks = [_mask(N) for N in G.adj]
-    for sub, total in enumerate(_subset_weights(G.n, s.weights)):
-        if (total >= s.t) != all(m & sub for m in masks):
-            return False
-    return True
+    return _separates(G.adj, s.weights, sum(s.weights) - s.t)
 
 
 def recognize_htd(G: Graph) -> HtdRecognitionReport:
@@ -140,24 +135,23 @@ def make_positive(G: Graph, s: TdStructure) -> TdStructure:
 
 
 def structure_add_universal(G: Graph, s: TdStructure) -> tuple[Graph, TdStructure]:
-    """Extend a verifying structure to G plus a universal vertex: the new
-    vertex weighs t minus the minimum weight (clamped at zero), keeping the
-    same threshold. Falls back to fresh synthesis if the transferred
-    structure fails verification."""
+    """Extend a verifying structure to G plus a universal vertex u, keeping
+    the threshold t.
+
+    After ``make_positive`` if needed, every weight is positive, and t > 0
+    because the empty set is not total dominating. u weighs
+    max(t - min w, 0). A set without u is total dominating in the new graph
+    iff it is in G (any vertex dominates u), and keeps its weight. A set
+    with u is total dominating iff it has another vertex x: u alone weighs
+    less than t, and u plus x reaches t as w_u + w_x >= w_u + min w >= t.
+    """
     _require_verifying(G, s)
     G2 = add_universal(G)
     if G.n == 0:
         return G2, TdStructure((1,), 2)
     if min(s.weights) == 0:
         s = make_positive(G, s)
-    wv = max(s.t - min(s.weights), 0)
-    candidate = TdStructure(s.weights + (wv,), s.t)
-    if G2.n <= VERIFY_CAP and not verify_td_structure(G2, candidate):
-        report = recognize_td(G2)
-        if not report.verdict or report.structure is None:
-            raise AssertionError("universal-vertex extension must stay total domishold")
-        candidate = report.structure
-    return G2, candidate
+    return G2, TdStructure(s.weights + (max(s.t - min(s.weights), 0),), s.t)
 
 
 def unique_minimal_tds(H: Graph) -> Optional[frozenset[int]]:
@@ -222,7 +216,7 @@ def embed_into_td(G: Graph) -> tuple[Graph, TdStructure, tuple[int, ...]]:
 
 
 def _require_verifying(G: Graph, s: TdStructure) -> None:
-    if G.n <= VERIFY_CAP and not verify_td_structure(G, s):
+    if not verify_td_structure(G, s):
         raise ValueError("structure does not verify for the given graph")
 
 

@@ -30,7 +30,7 @@ def greedy_min_tds(G: Graph, s: TdStructure) -> SolveResult:
     threshold is total dominating, so the prefix has minimum cardinality."""
     if G.has_isolated_vertex():
         raise ValueError("graphs with isolated vertices have no total dominating sets")
-    if G.n <= ORACLE_CAP and not verify_td_structure(G, s):
+    if not verify_td_structure(G, s):
         raise ValueError("structure does not verify for the given graph")
     order = sorted(range(G.n), key=lambda v: (-s.weights[v], v))
     chosen: list[int] = []

@@ -146,7 +146,7 @@ def test_criterion_04_certificate_soundness(td_table, census6, td_corpus12, dual
             checked += 1
             if not verify_separating_structure(f, rep.structure):
                 failures += 1
-    report(4, "certificate soundness (structures verify exhaustively)", failures, checked)
+    report(4, "certificate soundness (structures verify)", failures, checked)
 
 
 def test_criterion_05_metamorphic_laws():
@@ -166,7 +166,7 @@ def test_criterion_05_metamorphic_laws():
         G2, s2, image = embed_into_td(G)
         if recognize_td(G2).verdict is not True:
             failures += 1
-        if G2.n <= 14 and not verify_td_structure(G2, s2):
+        if not verify_td_structure(G2, s2):
             failures += 1
     report(5, "closure laws (universal / +K2 / isolated / embedding)", failures, checked)
 

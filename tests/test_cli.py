@@ -1,8 +1,10 @@
 import json
+import random
+from itertools import combinations
 
 import pytest
 
-from domishold import complete, cycle, disjoint_union, forbidden_graph, path
+from domishold import Graph, complete, cycle, disjoint_union, forbidden_graph, path
 from domishold.cli import main
 from domishold.fileio import parse_graph, write_graph, write_hypergraph
 from domishold import Hypergraph
@@ -31,7 +33,7 @@ def run_json(capsys, *argv):
 
 def test_recognize_td_k4(write, capsys):
     f = write("k4.g", write_graph(complete(4)))
-    code, report = run_json(capsys, "recognize-td", f, "--oracle")
+    code, report = run_json(capsys, "recognize-td", f)
     assert code == 0
     assert report["verdict"] is True
     assert report["structure"]["weights"] == [1, 1, 1, 1]
@@ -235,9 +237,9 @@ def test_calls_do_not_depend_on_earlier_calls(write, capsys, tmp_path):
     h = write("h.h", write_hypergraph(Hypergraph.make(3, [[0, 1], [0, 2]])))
     out = str(tmp_path / "report.out")
     calls = [
-        ["recognize-td", k4, "--oracle", "--json", "--out", out],
+        ["recognize-td", k4, "--json", "--out", out],
         ["recognize-td", k4],
-        ["recognize-td", c4, "--oracle"],
+        ["recognize-td", c4],
         ["recognize-td", c4, "--json"],
         ["solve", k4, "--tds", "--oracle", "--json"],
         ["solve", star, "--ds"],
@@ -307,3 +309,66 @@ def test_verify_dually_sperner_violation(write, capsys, tmp_path):
     rep.write_text(json.dumps(doctored))
     assert main(["verify", bad, str(rep)]) == 2
     capsys.readouterr()
+
+
+def split_incidence_of_weights(seed, k):
+    """The split-incidence graph of the minimal sets reaching half the total
+    of k random weights in 1..9: a total domishold graph of k + m vertices."""
+    rng = random.Random(seed)
+    w = [rng.randint(1, 9) for _ in range(k)]
+    t = sum(w) // 2
+    edges = [
+        s
+        for size in range(1, k + 1)
+        for s in combinations(range(k), size)
+        if sum(w[i] for i in s) >= t and sum(w[i] for i in s) - min(w[i] for i in s) < t
+    ]
+    incidences = [(v, k + j) for j, e in enumerate(edges) for v in e]
+    return Graph.from_edges(k + len(edges), list(combinations(range(k), 2)) + incidences)
+
+
+def test_verify_structure_of_253_vertices(write, capsys, tmp_path):
+    G = split_incidence_of_weights(5, 12)
+    assert G.n == 253
+    g = write("k12.g", write_graph(G))
+    rep = tmp_path / "k12.json"
+    assert main(["recognize-td", g, "--json", "--out", str(rep)]) == 0
+    assert main(["verify", g, str(rep)]) == 0
+    assert capsys.readouterr().out == "total domishold structure: ok\n"
+    tampered = json.loads(rep.read_text())
+    tampered["structure"]["t"] = sum(tampered["structure"]["weights"]) + 1
+    rep.write_text(json.dumps(tampered))
+    assert main(["verify", g, str(rep)]) == 2
+    assert capsys.readouterr().out == "total domishold structure: FAILED\n"
+
+
+def test_verify_rejects_summability_points_that_are_not_bits(write, capsys, tmp_path):
+    x1 = write("x1.h", "p hgraph 1 1\nh 1\n")
+    k2 = write("k2.g", write_graph(complete(2)))
+    rep = tmp_path / "r.json"
+    for path, falses, trues in [
+        (x1, [[0], [0]], [[1], [-1]]),
+        (k2, [[0, 0], [0, 0]], [[1, -1], [-1, 1]]),
+        (k2, [[0, 0], [0, 0]], [[1, 0], [0.0, 1]]),
+    ]:
+        witness = {"kind": "summability", "false_points": falses, "true_points": trues}
+        rep.write_text(json.dumps({"witness": witness}))
+        assert main(["verify", path, str(rep)]) == 2, trues
+        assert capsys.readouterr().out == "summability witness: FAILED\n"
+
+
+def test_verify_rejects_structures_that_are_not_integral(write, capsys, tmp_path):
+    x1 = write("x1.h", "p hgraph 1 1\nh 1\n")
+    k2 = write("k2.g", write_graph(complete(2)))
+    rep = tmp_path / "r.json"
+    for path, structure in [
+        (x1, {"weights": [1.5], "t": 0.5}),
+        (x1, {"weights": [True], "t": False}),
+        (x1, {"weights": [1], "t": 0.0}),
+        (k2, {"weights": [1.0, 1], "t": 2}),
+    ]:
+        rep.write_text(json.dumps({"structure": structure}))
+        assert main(["verify", path, str(rep)]) == 2, structure
+        assert "malformed report" in capsys.readouterr().err
+    rep.write_text(json.dumps({"structure": {"weights": [1], "t": 0}}))
+    assert main(["verify", x1, str(rep)]) == 0
