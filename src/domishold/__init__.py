@@ -11,12 +11,9 @@ from .boolean import (
     SummabilityWitness,
     ThresholdReport,
     dnf_of_hypergraph,
-    dual,
     evaluate,
-    is_k_summable,
     is_threshold,
     make_dnf,
-    maximal_false_points,
     verify_separating_structure,
     verify_summability_witness,
 )
@@ -34,7 +31,6 @@ from .graphs import (
     find_induced,
     generate,
     induced_subgraph,
-    is_12_polar,
     is_chordal,
     is_dominating_set,
     is_induced_embedding,
@@ -54,7 +50,6 @@ from .hypergraphs import (
     dually_sperner_violation,
     independent_neighborhood_hypergraph,
     is_dually_sperner,
-    minimal_transversals,
     neighborhood_split_graph,
     reduced_neighborhood_hypergraph,
     remove_universal_vertex,

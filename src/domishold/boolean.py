@@ -1,5 +1,5 @@
-"""Positive Boolean functions as prime-implicant antichains, summability
-oracles, and threshold recognition producing integral separating structures.
+"""Positive Boolean functions as prime-implicant antichains of int-mask
+terms, and threshold recognition producing integral separating structures.
 
 f is threshold when f(x) = 0 exactly when w.x <= t, for non-negative integer
 weights w and t >= -1; constant 1 is threshold with w = 0 and t = -1.
@@ -10,77 +10,68 @@ makes the function regular; the maximal false points of a regular function
 are then read off its implicants by shifting, and a small exact LP with one
 column per class of equally strong variables decides the weights.
 
+Every step asks whether a point contains a term, and the one containment
+index of ``hypergraphs`` answers it: minimisation, the swap tests of the
+strength order, the ceiling filter and the verifier.
 ``verify_separating_structure`` checks a structure in polynomial time at
-any size and shares no code with recognition: it takes its variable order
-from the claimed weights, not from the strength order. Berge dualization
-(``dual``, ``maximal_false_points``) and the exhaustive ``is_k_summable``
-stay as independent oracles.
+any size and takes its variable order from the claimed weights, not from
+the strength order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
-from math import comb, lcm
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .errors import CapabilityError
-from .hypergraphs import DEFAULT_DUAL_CAP, Hypergraph, _minimal_sets, minimal_transversals
+from .hypergraphs import Hypergraph, _contains_member, _elements, _index, _mask, _minimal_masks
 from .lp import lp_feasible
 
-SUMMABILITY_WORK_CAP = 5_000_000
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PositiveDNF:
     """A positive Boolean function given by the antichain of its prime
-    implicants (variable-index sets). Constant 0 has no implicants; constant
-    1 has the single empty implicant.
+    implicants: ``terms`` holds them as int masks (bit v for variable v) in
+    the order of ``implicants``, the variable sets sorted as ascending
+    tuples. Constant 0 has no implicants; constant 1 has the empty one.
+    The constructor rejects implicants that ``make_dnf``, the minimiser,
+    would not keep every one of (duplicates, or a term within another).
     """
 
     n: int
-    implicants: tuple[frozenset[int], ...]
+    terms: tuple[int, ...]
 
-    def __post_init__(self):
-        canon = tuple(sorted((frozenset(t) for t in self.implicants), key=lambda t: tuple(sorted(t))))
-        if len(set(canon)) != len(canon):
-            raise ValueError("duplicate implicants")
-        _check_range(self.n, canon)
-        for t in canon:
-            if any(s != t and s <= t for s in canon):
-                raise ValueError("implicants must form an antichain")
-        object.__setattr__(self, "implicants", canon)
+    def __init__(self, n: int, implicants: Iterable[Iterable[int]]):
+        implicants = list(implicants)
+        f = make_dnf(n, implicants)
+        if len(f.terms) != len(implicants):
+            raise ValueError("implicants must form an antichain without duplicates")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "terms", f.terms)
 
-    @classmethod
-    def _from_minimal(cls, n: int, implicants: tuple[frozenset[int], ...]) -> PositiveDNF:
-        """Wrap implicants that are already inclusion-minimal, deduplicated
-        and canonically sorted, skipping the pairwise antichain check; only
-        the variable range is checked."""
-        _check_range(n, implicants)
-        f = object.__new__(cls)
-        object.__setattr__(f, "n", n)
-        object.__setattr__(f, "implicants", implicants)
-        return f
+    @property
+    def implicants(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(_elements(t)) for t in self.terms)
 
     def is_constant_zero(self) -> bool:
-        return not self.implicants
+        return not self.terms
 
     def is_constant_one(self) -> bool:
-        return any(not t for t in self.implicants)
-
-
-def _check_range(n: int, implicants: tuple[frozenset[int], ...]) -> None:
-    for t in implicants:
-        for v in t:
-            if not 0 <= v < n:
-                raise ValueError(f"implicant variable {v} out of range for n={n}")
+        return self.terms == (0,)
 
 
 def make_dnf(n: int, terms: Iterable[Iterable[int]]) -> PositiveDNF:
     """Minimize arbitrary positive DNF terms to the complete (prime
     implicant) DNF of the function they define.
     """
-    return PositiveDNF._from_minimal(n, _minimal_sets(frozenset(t) for t in terms))
+    masks = [_mask(t) for t in terms]
+    top = max(masks, default=0).bit_length() - 1
+    if top >= n:
+        raise ValueError(f"implicant variable {top} out of range for n={n}")
+    f = object.__new__(PositiveDNF)
+    object.__setattr__(f, "n", n)
+    object.__setattr__(f, "terms", tuple(sorted(_minimal_masks(masks), key=_elements)))
+    return f
 
 
 def dnf_of_hypergraph(H: Hypergraph) -> PositiveDNF:
@@ -93,24 +84,8 @@ def evaluate(f: PositiveDNF, x: Sequence[int]) -> int:
     """1 iff the support of the bit vector contains some implicant."""
     if len(x) != f.n:
         raise ValueError(f"expected {f.n} bits, got {len(x)}")
-    support = {i for i, b in enumerate(x) if b}
-    return 1 if any(t <= support for t in f.implicants) else 0
-
-
-def dual(f: PositiveDNF, cap: int = DEFAULT_DUAL_CAP) -> PositiveDNF:
-    """Prime implicants of x -> not f(complement of x): the minimal
-    transversals of the implicant family."""
-    return PositiveDNF(f.n, minimal_transversals(Hypergraph(f.n, f.implicants), cap))
-
-
-def maximal_false_points(f: PositiveDNF, cap: int = DEFAULT_DUAL_CAP) -> tuple[frozenset[int], ...]:
-    """Supports of the inclusion-maximal false points, as complements of the
-    dual prime implicants; none for the constant-1 function, whose dual
-    (constant 0) has no implicants."""
-    full = frozenset(range(f.n))
-    return tuple(
-        sorted((full - t for t in dual(f, cap).implicants), key=lambda s: tuple(sorted(s)))
-    )
+    support = _mask(i for i, b in enumerate(x) if b)
+    return 1 if any(t & support == t for t in f.terms) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -131,14 +106,19 @@ def verify_separating_structure(f: PositiveDNF, s: SeparatingStructure) -> bool:
     implicants; the order of the check comes from s (see ``_separates``)."""
     if len(s.weights) != f.n or s.t < -1 or any(w < 0 for w in s.weights):
         return False
-    return _separates(f.implicants, s.weights, s.t)
+    return _separates(f.terms, s.weights, s.t)
 
 
-def _separates(terms: Iterable[Iterable[int]], weights: Sequence[int], t: int) -> bool:
+def _separates(terms: Iterable[int], weights: Sequence[int], t: int) -> bool:
     """Whether the non-negative weights and t separate the positive function
-    whose true points are the supersets of the terms, given by any DNF that
-    contains its prime implicants: true points weigh more than t, false
-    points at most t.
+    whose true points are the supersets of the terms (int masks, any DNF of
+    the function): true points weigh more than t, false points at most t.
+
+    The terms are minimised first. The minimal terms define the same
+    function, as every other term contains one of them, and they are its
+    prime implicants, over which the strength argument of step 2 runs. Each
+    "is this point true" question below is a query of their containment
+    index.
 
     1. Every term weighs at least t + 1, hence so does every true point.
     2. Order the variables heaviest first, ties by index. If (w, t) is valid,
@@ -154,36 +134,28 @@ def _separates(terms: Iterable[Iterable[int]], weights: Sequence[int], t: int) -
        false point weighs at most t. Constant 0 has the full set as its one
        maximal false point.
     """
+    terms = _minimal_masks(terms)
+    if not terms:
+        return sum(weights) <= t
+    holders = _index(terms)
+    full = (1 << len(terms)) - 1
     n = len(weights)
     order = sorted(range(n), key=lambda v: (-weights[v], v))
-    rank = {v: r for r, v in enumerate(order)}
-    # each term's mask and variables in that order; small terms first, as
-    # they are the likeliest to lie within a point
-    members = {_mask(T): sorted(T, key=rank.__getitem__) for T in sorted(terms, key=len)}
-
-    def true(p: int) -> bool:
-        return any(s & p == s for s in members)
-
-    if not members:
-        return sum(weights) <= t
-    containing: list[list[int]] = [[] for _ in range(n)]
-    for s, vs in members.items():
-        for v in vs:
-            containing[v].append(s)
     for i, k in zip(order, order[1:]):
-        bi, bk = 1 << i, 1 << k
-        if any(not s & bi and not true(s ^ bk | bi) for s in containing[k]):
+        if _swap_failure(terms, holders, full, i, k) is not None:
             return False
+    rank = {v: r for r, v in enumerate(order)}
     later, later_weight = [0] * n, [0] * n
     mask = total = 0
     for v in reversed(order):
         later[v], later_weight[v] = mask, total
-        mask |= 1 << v
+        if 1 << v in holders:  # keeps the ints small; the index ignores other variables
+            mask |= 1 << v
         total += weights[v]
-    for s, vs in members.items():
+    for s in terms:
         head = 0  # the weight of s & earlier(k)
-        for k in vs:
-            if head + later_weight[k] > t and not true(s ^ (1 << k) | later[k]):
+        for k in sorted(_elements(s), key=rank.__getitem__):
+            if head + later_weight[k] > t and not _contains_member(holders, full, s ^ (1 << k) | later[k]):
                 return False
             head += weights[k]
         if head <= t:
@@ -217,40 +189,6 @@ def verify_summability_witness(f: PositiveDNF, w: SummabilityWitness) -> bool:
     sums_false = [sum(p[i] for p in w.false_points) for i in range(f.n)]
     sums_true = [sum(p[i] for p in w.true_points) for i in range(f.n)]
     return sums_false == sums_true
-
-
-def is_k_summable(
-    f: PositiveDNF, k: int, work_cap: int = SUMMABILITY_WORK_CAP
-) -> Optional[SummabilityWitness]:
-    """Exhaustive search for r-tuples (2 <= r <= k) of false and true points
-    with equal componentwise sums; None if f is k-asummable.
-
-    Intended for small functions; the work estimate is capped.
-    """
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    if (1 << f.n) > work_cap:
-        raise CapabilityError("too many points to enumerate")
-    falses: list[tuple[int, ...]] = []
-    trues: list[tuple[int, ...]] = []
-    for x in product((0, 1), repeat=f.n):
-        (trues if evaluate(f, x) else falses).append(x)
-    for r in range(2, k + 1):
-        if not falses or not trues:
-            return None
-        work = comb(len(falses) + r - 1, r) + comb(len(trues) + r - 1, r)
-        if work > work_cap:
-            raise CapabilityError(f"r={r} summability search exceeds work cap")
-        sums: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
-        for group in combinations_with_replacement(falses, r):
-            key = tuple(sum(p[i] for p in group) for i in range(f.n))
-            sums.setdefault(key, group)
-        for group in combinations_with_replacement(trues, r):
-            key = tuple(sum(p[i] for p in group) for i in range(f.n))
-            hit = sums.get(key)
-            if hit is not None:
-                return SummabilityWitness(hit, group)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +245,6 @@ def is_threshold(f: PositiveDNF) -> ThresholdReport:
     return ThresholdReport(True, structure, None, "separating-structure")
 
 
-def _mask(vertices: Iterable[int]) -> int:
-    return sum(1 << v for v in vertices)
-
-
 def _bits(n: int, mask: int) -> tuple[int, ...]:
     return tuple(mask >> i & 1 for i in range(n))
 
@@ -328,26 +262,22 @@ def _strength_classes(f: PositiveDNF) -> list[list[int]] | SummabilityWitness:
     adjacent pairs of the profile order decides the whole relation, and a
     failed adjacent check fails in both directions.
     """
-    containing: dict[int, list[int]] = {}
-    for t in f.implicants:
-        mask = _mask(t)
-        for v in t:
-            containing.setdefault(v, []).append(mask)
-    longest = max(len(t) for t in f.implicants)
-
-    def profile(v: int) -> tuple[int, ...]:
-        counts = [0] * (longest + 1)
-        for t in containing[v]:
-            counts[t.bit_count()] += 1
-        return tuple(counts)
-
-    profiles = {v: profile(v) for v in containing}
-    chain = sorted(containing, key=lambda v: (tuple(-c for c in profiles[v]), v))
+    terms = f.terms
+    holders = _index(terms)
+    full = (1 << len(terms)) - 1
+    # the terms of each size, smallest first; negated profiles sort strongest first
+    sizes = sorted({t.bit_count() for t in terms})
+    of_size = [_mask(j for j, t in enumerate(terms) if t.bit_count() == size) for size in sizes]
+    profiles = {
+        v.bit_length() - 1: tuple([-(sets & of).bit_count() for of in of_size])
+        for v, sets in holders.items()
+    }
+    chain = sorted(profiles, key=lambda v: (profiles[v], v))
     classes = [[chain[0]]]
     for i, k in zip(chain, chain[1:]):
-        t = _swap_failure(containing, i, k)
+        t = _swap_failure(terms, holders, full, i, k)
         if t is not None:
-            t2 = _swap_failure(containing, k, i)
+            t2 = _swap_failure(terms, holders, full, k, i)
             return SummabilityWitness(
                 (_bits(f.n, t ^ (1 << k) | (1 << i)), _bits(f.n, t2 ^ (1 << i) | (1 << k))),
                 (_bits(f.n, t), _bits(f.n, t2)),
@@ -364,7 +294,7 @@ def _regular_structure(f: PositiveDNF, classes: list[list[int]]) -> Optional[Sep
     are given strongest first in classes of equally strong ones."""
     chain = [v for c in classes for v in c]
     pos = {v: p for p, v in enumerate(chain)}
-    points = [_mask(pos[v] for v in t) for t in f.implicants]  # bit p = chain[p]
+    points = [_mask(pos[v] for v in _elements(t)) for t in f.terms]  # bit p = chain[p]
     full = (1 << len(chain)) - 1
     candidates = {
         t & ((1 << p) - 1) | full & ~((2 << p) - 1)
@@ -372,7 +302,8 @@ def _regular_structure(f: PositiveDNF, classes: list[list[int]]) -> Optional[Sep
         for p in range(len(chain))
         if t >> p & 1
     }
-    ceilings = [c for c in candidates if not any(t & c == t for t in points)]
+    holders, every_point = _index(points), (1 << len(points)) - 1
+    ceilings = [c for c in candidates if not _contains_member(holders, every_point, c)]
     ends, end = [], 0
     for c in classes:
         end += len(c)
@@ -396,16 +327,18 @@ def _regular_structure(f: PositiveDNF, classes: list[list[int]]) -> Optional[Sep
     return SeparatingStructure(tuple(weights), int(solution[-1] * scale))
 
 
-def _swap_failure(containing: dict[int, list[int]], i: int, k: int) -> Optional[int]:
-    """An implicant T with k in T, i not in T and T-k+i false, or None when
-    i is at least as strong as k. T is prime, so T-k is false and only
-    implicants containing i can make T-k+i true."""
+def _swap_failure(terms: Sequence[int], holders: dict[int, int], full: int, i: int, k: int) -> Optional[int]:
+    """The first term T of the antichain ``terms`` (indexed by ``holders``,
+    one bit of ``full`` each) with k in T, i not in T and T-k+i false; None
+    when there is none, that is, when i is at least as strong as k."""
     bi, bk = 1 << i, 1 << k
-    for t in containing[k]:
-        if not t & bi:
-            p = t ^ bk | bi
-            if not any(s & p == s for s in containing[i]):
-                return t
+    rest = holders.get(bk, 0) & ~holders.get(bi, 0)
+    while rest:
+        low = rest & -rest
+        t = terms[low.bit_length() - 1]
+        if not _contains_member(holders, full, t ^ bk | bi):
+            return t
+        rest ^= low
     return None
 
 

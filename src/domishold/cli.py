@@ -281,50 +281,45 @@ def cmd_verify(args) -> int:
 
 
 def _report_checks(text: str, report: dict) -> list[tuple[str, bool]]:
-    """Check every certificate of the report; each check is named."""
+    """Check every certificate of the report; each check is named. A
+    structure certifies a yes and a witness a no, so a verdict that says
+    otherwise fails a check of its own; a verdict that is not a bool or
+    null makes the report malformed."""
+    verdict = report.get("verdict")
+    if verdict is not None and type(verdict) is not bool:
+        raise ValueError("malformed report: the verdict must be true, false or null")
     is_hypergraph = any(
         line.strip().startswith("p hgraph") for line in text.splitlines()
     )
+    H = parse_hypergraph(text) if is_hypergraph else None
+    G = None if is_hypergraph else parse_graph(text)
     checks: list[tuple[str, bool]] = []
-    if is_hypergraph:
-        H = parse_hypergraph(text)
-        f = dnf_of_hypergraph(H)
-        if report.get("structure"):
-            s = SeparatingStructure(*_integral_structure(report["structure"]))
-            checks.append(("separating structure", verify_separating_structure(f, s)))
-        if report.get("witness") and report["witness"]["kind"] == "summability":
-            w = _witness_from_dict(report["witness"])
-            checks.append(("summability witness", verify_summability_witness(f, w)))
-        if report.get("witness") and report["witness"]["kind"] == "dually_sperner_violation":
-            e, g = (frozenset(v - 1 for v in edge) for edge in report["witness"]["edges"])
-            ok = (
-                e in H.edges
-                and g in H.edges
-                and len(e - g) > 1
-                and len(g - e) > 1
-            )
-            checks.append(("dually Sperner violation", ok))
-    else:
-        G = parse_graph(text)
-        if report.get("structure"):
-            s = TdStructure(*_integral_structure(report["structure"]))
-            checks.append(("total domishold structure", verify_td_structure(G, s)))
-        if report.get("witness"):
-            kind = report["witness"]["kind"]
-            if kind == "summability":
-                w = _witness_from_dict(report["witness"])
-                checks.append(
-                    ("summability witness", verify_summability_witness(neighborhood_dnf(G), w))
-                )
-            elif kind == "forbidden_subgraph":
-                index = report["witness"]["index"]
-                if not 1 <= index <= len(forbidden_catalog()):
-                    raise ValueError(f"malformed report: no catalog graph F{index}")
-                image = tuple(v - 1 for v in report["witness"]["embedding"])
-                pattern = forbidden_catalog()[index - 1].graph
-                checks.append(
-                    ("forbidden subgraph embedding", is_induced_embedding(G, pattern, image))
-                )
+    if report.get("structure"):
+        weights, t = _integral_structure(report["structure"])
+        if is_hypergraph:
+            ok = verify_separating_structure(dnf_of_hypergraph(H), SeparatingStructure(weights, t))
+            checks.append(("separating structure", ok))
+        else:
+            checks.append(("total domishold structure", verify_td_structure(G, TdStructure(weights, t))))
+    witness = report.get("witness")
+    kind = witness["kind"] if witness else None
+    if kind == "summability":
+        f = dnf_of_hypergraph(H) if is_hypergraph else neighborhood_dnf(G)
+        checks.append(("summability witness", verify_summability_witness(f, _witness_from_dict(witness))))
+    elif kind == "dually_sperner_violation" and is_hypergraph:
+        e, g = (frozenset(v - 1 for v in edge) for edge in witness["edges"])
+        ok = e in H.edges and g in H.edges and len(e - g) > 1 and len(g - e) > 1
+        checks.append(("dually Sperner violation", ok))
+    elif kind == "forbidden_subgraph" and not is_hypergraph:
+        index = witness["index"]
+        if not 1 <= index <= len(forbidden_catalog()):
+            raise ValueError(f"malformed report: no catalog graph F{index}")
+        image = tuple(v - 1 for v in witness["embedding"])
+        pattern = forbidden_catalog()[index - 1].graph
+        checks.append(("forbidden subgraph embedding", is_induced_embedding(G, pattern, image)))
+    # the structures are the certificates of a yes, the witnesses of a no
+    if verdict is not None and any(name.endswith("structure") is not verdict for name, _ in checks):
+        checks.append((f"verdict {json.dumps(verdict)} against the certificate", False))
     return checks
 
 

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
-from .errors import CapabilityError
-
 
 @dataclass(frozen=True)
 class Graph:
@@ -360,30 +358,6 @@ def split_partition(
     if sum(degs[:m]) != m * (m - 1) + sum(degs[m:]):
         return None
     return frozenset(order[:m]), frozenset(order[m:])
-
-
-def is_12_polar(G: Graph, max_n: int = 20) -> bool:
-    """True iff V(G) splits into a clique K and a part of maximum degree <= 1.
-
-    Branching search: while the non-clique part has a vertex with two
-    neighbors there, one of the three involved vertices must join the clique.
-    """
-    if G.n > max_n:
-        raise CapabilityError(f"(1,2)-polarity check capped at {max_n} vertices")
-
-    def solve(K: frozenset[int]) -> bool:
-        L = frozenset(range(G.n)) - K
-        for x in sorted(L):
-            inside = sorted(G.adj[x] & L)
-            if len(inside) >= 2:
-                for move in (x, inside[0], inside[1]):
-                    if all(move in G.adj[u] for u in K):
-                        if solve(K | {move}):
-                            return True
-                return False
-        return True
-
-    return solve(frozenset())
 
 
 def all_graphs(n: int) -> Iterator[Graph]:

@@ -1,6 +1,8 @@
-"""Hypergraphs with edge multiplicity, Sperner machinery, monotone
-dualization by Berge multiplication, and the graph/hypergraph constructions
-linking split graphs to their neighborhood hypergraphs.
+"""Hypergraphs with edge multiplicity; int-mask set families with the one
+containment index that answers every "does this set contain a member of
+the family" question of the library, and minimisation and Sperner
+reduction on it; and the graph/hypergraph constructions linking split
+graphs to their neighborhood hypergraphs.
 """
 
 from __future__ import annotations
@@ -8,10 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import CapabilityError
 from .graphs import Graph
-
-DEFAULT_DUAL_CAP = 200_000
 
 
 def _edge_key(e: frozenset[int]) -> tuple[int, ...]:
@@ -46,17 +45,70 @@ class Hypergraph:
 
 def sperner_reduce(H: Hypergraph) -> Hypergraph:
     """Collapse duplicates and drop edges containing another edge."""
-    return Hypergraph(H.n, _minimal_sets(H.edges))
+    edges = {_mask(e): e for e in H.edges}
+    return Hypergraph(H.n, tuple(edges[e] for e in _minimal_masks(edges)))
 
 
-def _minimal_sets(sets: Iterable[frozenset[int]]) -> tuple[frozenset[int], ...]:
-    """Inclusion-minimal members, deduplicated, canonically sorted."""
-    by_size = sorted(set(sets), key=lambda s: (len(s), _edge_key(s)))
-    kept: list[frozenset[int]] = []
-    for s in by_size:
-        if not any(k <= s for k in kept):
+def _mask(members: Iterable[int]) -> int:
+    """The int mask of a set given by its members, repeats allowed."""
+    mask = 0
+    for v in members:
+        mask |= 1 << v
+    return mask
+
+
+def _elements(mask: int) -> tuple[int, ...]:
+    """The members of an int-mask set, ascending."""
+    members = []
+    while mask:
+        members.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return tuple(members)
+
+
+def _index(family: Iterable[int]) -> dict[int, int]:
+    """Map the bit of each member of some set of the family to its holders,
+    the bitset with bit j set when the j-th set contains that member."""
+    holders: dict[int, int] = {}
+    for j, s in enumerate(family):
+        _hold(holders, s, 1 << j)
+    return holders
+
+
+def _hold(holders: dict[int, int], s: int, bit: int) -> None:
+    """Enter the set s, whose holder bit is ``bit``, into the index."""
+    while s:
+        low = s & -s
+        holders[low] = holders.get(low, 0) | bit
+        s ^= low
+
+
+def _contains_member(holders: dict[int, int], full: int, p: int) -> bool:
+    """Whether the set p contains a set of the family indexed by
+    ``holders``, ``full`` having one bit per set. It does iff the sets with
+    a member outside p, the OR of those members' holders, are not all of
+    them; members of no set are not in the index, and cost nothing. So a
+    query costs one OR per indexed member outside p: little for many sets
+    over few members, more than a scan for sparse sets over many."""
+    outside = 0
+    for v, sets in holders.items():
+        if not v & p:
+            outside |= sets
+    return outside != full
+
+
+def _minimal_masks(family: Iterable[int]) -> list[int]:
+    """The inclusion-minimal distinct sets of a family, in increasing order.
+    The proper subsets of a set are smaller ints, so they come first, and a
+    set is kept iff it contains none of the sets kept before it."""
+    kept: list[int] = []
+    holders: dict[int, int] = {}
+    for s in sorted(set(family)):
+        bit = 1 << len(kept)
+        if not _contains_member(holders, bit - 1, s):
             kept.append(s)
-    return tuple(sorted(kept, key=_edge_key))
+            _hold(holders, s, bit)
+    return kept
 
 
 def dually_sperner_violation(
@@ -79,43 +131,6 @@ def dually_sperner_violation(
 def is_dually_sperner(H: Hypergraph) -> bool:
     """True iff every pair of edges e,f has min(|e-f|, |f-e|) <= 1."""
     return dually_sperner_violation(H) is None
-
-
-def minimal_transversals(H: Hypergraph, cap: int = DEFAULT_DUAL_CAP) -> tuple[frozenset[int], ...]:
-    """All inclusion-minimal sets meeting every edge, by Berge multiplication.
-
-    The hypergraph with no edges has the empty set as its unique minimal
-    transversal; an empty edge makes the family empty. ``cap`` guards the
-    intermediate family size. Output is deterministically sorted.
-    """
-    family: list[frozenset[int]] = [frozenset()]
-    for e in H.edges:
-        if not e:
-            return ()
-        hits = [t for t in family if t & e]
-        misses = [t for t in family if not t & e]
-        grown = hits + [t | {v} for t in misses for v in sorted(e)]
-        family = list(_minimal_sets(grown))
-        if len(family) > cap:
-            raise CapabilityError(
-                f"transversal family exceeded cap {cap} while dualizing"
-            )
-    return tuple(sorted(family, key=_edge_key))
-
-
-def is_transversal_family(H: Hypergraph, family: Iterable[frozenset[int]]) -> bool:
-    """Check the minimal-transversal invariants (antichain, hitting, minimal)."""
-    fam = [frozenset(t) for t in family]
-    if len(set(fam)) != len(fam):
-        return False
-    for t in fam:
-        if any(s != t and s <= t for s in fam):
-            return False
-        if any(not (t & e) for e in H.edges):
-            return False
-        if any(all((t - {v}) & e for e in H.edges) for v in t):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

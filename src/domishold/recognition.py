@@ -14,7 +14,7 @@ from typing import Optional
 from . import catalog as _catalog
 from .boolean import PositiveDNF, SummabilityWitness, _separates, is_threshold, make_dnf
 from .graphs import Graph, add_universal, disjoint_union, find_induced, is_chordal, split_partition
-from .hypergraphs import Hypergraph, neighborhood_split_graph, split_incidence_graph
+from .hypergraphs import Hypergraph, _mask, neighborhood_split_graph, split_incidence_graph
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ def verify_td_structure(G: Graph, s: TdStructure) -> bool:
     as its terms."""
     if len(s.weights) != G.n or s.t < 0 or any(w < 0 for w in s.weights):
         return False
-    return _separates(G.adj, s.weights, sum(s.weights) - s.t)
+    return _separates(map(_mask, G.adj), s.weights, sum(s.weights) - s.t)
 
 
 def recognize_htd(G: Graph) -> HtdRecognitionReport:

@@ -1,4 +1,4 @@
-"""Acceptance suite: thirteen exactly reproducible criteria, each printed as
+"""Acceptance suite: fourteen exactly reproducible criteria, each printed as
 one pass/fail line. Sizes, seeds and tolerances are pinned here; every
 criterion is oracle- or property-based with zero tolerated failures.
 
@@ -28,12 +28,12 @@ from domishold import (
     gamma_t_bruteforce,
     greedy_min_tds,
     induced_subgraph,
-    is_12_polar,
     is_chordal,
-    is_k_summable,
     is_threshold,
+    is_threshold_graph,
     make_dnf,
     neighborhood_dnf,
+    path,
     random_graph,
     random_threshold,
     recognize_htd,
@@ -52,6 +52,7 @@ from domishold.corpus import (
 from domishold.solvers import approx_dominating_set
 
 from conftest import htd_bruteforce
+from oracles import is_12_polar, is_k_summable
 
 SEED = 20130919
 
@@ -302,3 +303,38 @@ def test_criterion_13_asummability_cross_check():
             if rep.is_threshold and not verify_separating_structure(f, rep.structure):
                 failures += 1
     report(13, "thresholdness == asummability over all antichains n<=4", failures, checked)
+
+
+def test_criterion_14_complements_of_domishold_graphs_are_td(td_table, census6):
+    """G is domishold (Benzaken & Hammer 1978) when its closed-neighborhood
+    function is threshold. TD contains the complements of domishold graphs,
+    properly: P4 has no isolated vertex and is TD, but it is neither a
+    threshold graph nor the complement of a domishold graph, and every such
+    graph on at most four vertices is a P4."""
+    closed = [make_dnf(G.n, [G.adj[v] | {v} for v in range(G.n)]) for G in census6]
+    threshold = {f: is_threshold(f).is_threshold for f in set(closed)}
+    domishold = [threshold[f] for f in closed]
+    failures = checked = 0
+    neither = []  # TD, no isolated vertex, not threshold, not co-domishold
+    start = 1  # census6 lists each order in edge-mask order, after the empty graph
+    for n in range(1, 7):
+        last = (1 << n * (n - 1) // 2) - 1
+        for mask in range(last + 1):
+            # the complement has the complementary edge mask
+            i, co = start + mask, start + last - mask
+            G = census6[i]
+            if domishold[i]:
+                checked += 1
+                if not td_table.verdict(census6[co]):
+                    failures += 1
+            if not (G.has_isolated_vertex() or domishold[co] or is_threshold_graph(G)):
+                if td_table.verdict(G):
+                    neither.append(G)
+        start += last + 1
+    p4 = path(4)
+    checked += 1
+    if p4.key() not in {G.key() for G in neither} or any(
+        G.n < 4 or G.n == 4 and G.degree_sequence() != p4.degree_sequence() for G in neither
+    ):
+        failures += 1
+    report(14, "complements of domishold graphs are TD; P4 is TD, not threshold or co-domishold", failures, checked)

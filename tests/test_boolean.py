@@ -6,16 +6,15 @@ import pytest
 from domishold import (
     PositiveDNF,
     SeparatingStructure,
-    dual,
     evaluate,
-    is_k_summable,
     is_threshold,
     make_dnf,
-    maximal_false_points,
     verify_separating_structure,
     verify_summability_witness,
 )
 from domishold.errors import CapabilityError
+
+from oracles import dual, is_k_summable, maximal_false_points, minimal_sets
 
 
 def impl(f):
@@ -36,14 +35,19 @@ def test_make_dnf_examples():
         make_dnf(2, [[3]])
     with pytest.raises(ValueError):
         PositiveDNF(3, (frozenset({0}), frozenset({0, 1})))  # not an antichain
+    # a term may name a variable more than once
+    assert make_dnf(3, [[0, 0]]) == make_dnf(3, [[0]])
+    assert impl(make_dnf(2, [[1, 1, 1], [0, 1, 0]])) == [(1,)]
+    assert PositiveDNF(3, [[2, 0, 2], [1]]) == make_dnf(3, [[0, 2], [1]])
 
 
 def test_make_dnf_equals_validated_construction():
     rng = random.Random(44)
     for _ in range(200):
         n = rng.randint(1, 7)
-        terms = [rng.sample(range(n), rng.randint(0, n)) for _ in range(rng.randint(0, 10))]
+        terms = [rng.choices(range(n), k=rng.randint(0, n + 2)) for _ in range(rng.randint(0, 10))]
         f = make_dnf(n, terms)
+        assert f.implicants == minimal_sets(frozenset(t) for t in terms), terms
         assert f == PositiveDNF(n, f.implicants) and hash(f) == hash(PositiveDNF(n, f.implicants))
         if all(terms):  # an empty term absorbs every other one
             with pytest.raises(ValueError):

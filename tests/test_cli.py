@@ -150,6 +150,29 @@ def test_verify_round_trip(write, capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_verify_rejects_a_verdict_that_contradicts_its_certificate(write, capsys, tmp_path):
+    k4 = write("k4.g", write_graph(complete(4)))
+    c4 = write("c4.g", write_graph(cycle(4)))
+    rep = tmp_path / "r.json"
+    for graph, code, flipped, line in [
+        (k4, 0, False, "total domishold structure: ok"),
+        (c4, 1, True, "summability witness: ok"),
+    ]:
+        assert main(["recognize-td", graph, "--json", "--out", str(rep)]) == code
+        report = json.loads(rep.read_text())
+        assert report["verdict"] is not flipped
+        report["verdict"] = flipped
+        rep.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert main(["verify", graph, str(rep)]) == 2, graph
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == line and out[1].endswith(": FAILED"), out
+        report["verdict"] = "yes"
+        rep.write_text(json.dumps(report))
+        assert main(["verify", graph, str(rep)]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed report")
+
+
 def test_verify_catches_tampering(write, capsys, tmp_path):
     k4 = write("k4.g", write_graph(complete(4)))
     rep = tmp_path / "r.json"
@@ -328,18 +351,21 @@ def split_incidence_of_weights(seed, k):
 
 
 def test_verify_structure_of_253_vertices(write, capsys, tmp_path):
-    G = split_incidence_of_weights(5, 12)
-    assert G.n == 253
-    g = write("k12.g", write_graph(G))
-    rep = tmp_path / "k12.json"
-    assert main(["recognize-td", g, "--json", "--out", str(rep)]) == 0
-    assert main(["verify", g, str(rep)]) == 0
-    assert capsys.readouterr().out == "total domishold structure: ok\n"
-    tampered = json.loads(rep.read_text())
-    tampered["structure"]["t"] = sum(tampered["structure"]["weights"]) + 1
-    rep.write_text(json.dumps(tampered))
-    assert main(["verify", g, str(rep)]) == 2
-    assert capsys.readouterr().out == "total domishold structure: FAILED\n"
+    # at k = 16 (3,023 implicants) a step quadratic in the implicants takes
+    # seconds, so this input also shows one
+    for k, n in [(12, 253), (16, 3039)]:
+        G = split_incidence_of_weights(5, k)
+        assert G.n == n
+        g = write(f"k{k}.g", write_graph(G))
+        rep = tmp_path / f"k{k}.json"
+        assert main(["recognize-td", g, "--json", "--out", str(rep)]) == 0
+        assert main(["verify", g, str(rep)]) == 0
+        assert capsys.readouterr().out == "total domishold structure: ok\n"
+        tampered = json.loads(rep.read_text())
+        tampered["structure"]["t"] = sum(tampered["structure"]["weights"]) + 1
+        rep.write_text(json.dumps(tampered))
+        assert main(["verify", g, str(rep)]) == 2
+        assert capsys.readouterr().out == "total domishold structure: FAILED\n"
 
 
 def test_verify_rejects_summability_points_that_are_not_bits(write, capsys, tmp_path):

@@ -60,6 +60,9 @@ def test_dnf_round_trip_and_minimization():
     assert parse_dnf(write_dnf(g)) == g
     constant_one = parse_dnf("p dnf 2 1\ni\n")
     assert constant_one.is_constant_one()
+    # a repeated variable names it once
+    assert parse_dnf("p dnf 3 1\ni 1 1\n") == make_dnf(3, [[0]])
+    assert parse_dnf("p dnf 2 1\ni 2 2\n") == make_dnf(2, [[1]])
 
 
 def test_graph6_known_strings():

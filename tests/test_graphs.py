@@ -16,7 +16,6 @@ from domishold import (
     forbidden_graph,
     generate,
     induced_subgraph,
-    is_12_polar,
     is_chordal,
     is_dominating_set,
     is_induced_embedding,
@@ -33,6 +32,7 @@ from domishold import (
 from domishold.errors import CapabilityError
 
 from conftest import brute_has_induced
+from oracles import is_12_polar
 
 
 def test_graph_invariants_enforced():

@@ -13,7 +13,6 @@ from domishold import (
     independent_neighborhood_hypergraph,
     is_dually_sperner,
     is_threshold,
-    minimal_transversals,
     neighborhood_split_graph,
     path,
     reduced_neighborhood_hypergraph,
@@ -24,9 +23,10 @@ from domishold import (
 )
 from domishold.corpus import random_hypergraph
 from domishold.errors import CapabilityError
-from domishold.hypergraphs import is_transversal_family
+from domishold.hypergraphs import _contains_member, _elements, _index, _minimal_masks
 
 from conftest import brute_minimal_transversals
+from oracles import is_transversal_family, minimal_sets, minimal_transversals
 
 
 def H(n, *edges):
@@ -63,6 +63,27 @@ def test_sperner_reduce_idempotent_and_containment_equivalent():
         for bits in range(1 << n):
             X = {i for i in range(n) if bits >> i & 1}
             assert any(e <= X for e in hg.edges) == any(e <= X for e in red.edges)
+
+
+def test_containment_index_and_minimiser_against_plain_scans():
+    """The index every containment query of the library goes through, and
+    the minimiser built on it, against a scan of the family and the
+    frozenset minimisation of ``oracles.py``."""
+    rng = random.Random(14)
+    families = [[], [0], [0, 0, 5], [3, 3]]  # empty family, empty set, duplicates
+    for _ in range(150):
+        n = rng.randint(1, 10)
+        family = [rng.getrandbits(n) for _ in range(rng.randint(1, 12))]
+        families.append(family + rng.sample(family, rng.randint(0, len(family))))
+    for family in families:
+        n = max(family, default=0).bit_length()
+        holders, full = _index(family), (1 << len(family)) - 1
+        for p in range(1 << n):
+            assert _contains_member(holders, full, p) == any(s & p == s for s in family), (family, p)
+        kept = _minimal_masks(family)
+        reference = minimal_sets(frozenset(_elements(s)) for s in family)
+        assert sorted(kept, key=_elements) == [sum(1 << v for v in s) for s in reference], family
+        assert kept == sorted(kept)
 
 
 def test_dually_sperner_examples():

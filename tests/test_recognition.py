@@ -260,7 +260,7 @@ def test_hereditary_bridge_sampled_at_n7_n8(td_table):
 
 
 def test_two_summability_bridge_on_small_graphs():
-    from domishold import is_k_summable
+    from oracles import is_k_summable
 
     rng = random.Random(36)
     for _ in range(12):

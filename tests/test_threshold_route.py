@@ -7,15 +7,15 @@ import random
 from collections import Counter
 
 from domishold import (
-    is_k_summable,
     is_threshold,
     lp_feasible,
     make_dnf,
-    maximal_false_points,
     neighborhood_dnf,
     verify_separating_structure,
     verify_summability_witness,
 )
+
+from oracles import is_k_summable, maximal_false_points
 
 
 def berge_lp_threshold(f) -> bool:
