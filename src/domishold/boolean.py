@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
+from operator import ge, le
 from typing import Iterable, Optional, Sequence
 
 from .hypergraphs import Hypergraph, _contains_member, _elements, _index, _mask, _minimal_masks
@@ -246,7 +247,7 @@ def is_threshold(f: PositiveDNF) -> ThresholdReport:
 
 
 def _bits(n: int, mask: int) -> tuple[int, ...]:
-    return tuple(mask >> i & 1 for i in range(n))
+    return tuple([mask >> i & 1 for i in range(n)])
 
 
 def _strength_classes(f: PositiveDNF) -> list[list[int]] | SummabilityWitness:
@@ -266,8 +267,11 @@ def _strength_classes(f: PositiveDNF) -> list[list[int]] | SummabilityWitness:
     holders = _index(terms)
     full = (1 << len(terms)) - 1
     # the terms of each size, smallest first; negated profiles sort strongest first
-    sizes = sorted({t.bit_count() for t in terms})
-    of_size = [_mask(j for j, t in enumerate(terms) if t.bit_count() == size) for size in sizes]
+    by_size: dict[int, int] = {}
+    for j, t in enumerate(terms):
+        size = t.bit_count()
+        by_size[size] = by_size.get(size, 0) | 1 << j
+    of_size = [by_size[size] for size in sorted(by_size)]
     profiles = {
         v.bit_length() - 1: tuple([-(sets & of).bit_count() for of in of_size])
         for v, sets in holders.items()
@@ -293,8 +297,15 @@ def _regular_structure(f: PositiveDNF, classes: list[list[int]]) -> Optional[Sep
     """Solve the floors/ceilings LP of a regular f, whose relevant variables
     are given strongest first in classes of equally strong ones."""
     chain = [v for c in classes for v in c]
-    pos = {v: p for p, v in enumerate(chain)}
-    points = [_mask(pos[v] for v in _elements(t)) for t in f.terms]  # bit p = chain[p]
+    moved = {1 << v: 1 << p for p, v in enumerate(chain)}
+    points = []  # the terms with bit p for chain[p]
+    for t in f.terms:
+        point = 0
+        while t:
+            low = t & -t
+            point |= moved[low]
+            t ^= low
+        points.append(point)
     full = (1 << len(chain)) - 1
     candidates = {
         t & ((1 << p) - 1) | full & ~((2 << p) - 1)
@@ -310,21 +321,24 @@ def _regular_structure(f: PositiveDNF, classes: list[list[int]]) -> Optional[Sep
         ends.append((1 << end) - 1)
 
     def prefix(point: int) -> tuple[int, ...]:
-        return tuple((point & e).bit_count() for e in ends)
+        return tuple([(point & e).bit_count() for e in ends])
 
     rows = [([*v, -1], ">=", 1) for v in _extreme_vectors(map(prefix, points), lowest=True)]
     rows += [([*v, -1], "<=", 0) for v in _extreme_vectors(map(prefix, ceilings), lowest=False)]
     solution = lp_feasible(len(classes) + 1, rows, nonneg=True)
     if solution is None:
         return None
+    # scale is a multiple of every denominator, so x * scale is the integer
+    # x.numerator * (scale // x.denominator) exactly: int(x * scale) without Fractions
     scale = lcm(*(x.denominator for x in solution))
+    u = [x.numerator * (scale // x.denominator) for x in solution]
     weights = [0] * f.n
     w = 0
     for c in reversed(range(len(classes))):
-        w += int(solution[c] * scale)
+        w += u[c]
         for v in classes[c]:
             weights[v] = w
-    return SeparatingStructure(tuple(weights), int(solution[-1] * scale))
+    return SeparatingStructure(tuple(weights), u[-1])
 
 
 def _swap_failure(terms: Sequence[int], holders: dict[int, int], full: int, i: int, k: int) -> Optional[int]:
@@ -344,9 +358,10 @@ def _swap_failure(terms: Sequence[int], holders: dict[int, int], full: int, i: i
 
 def _extreme_vectors(vectors: Iterable[tuple[int, ...]], lowest: bool) -> list[tuple[int, ...]]:
     """The componentwise minimal (``lowest``) or maximal distinct vectors."""
-    sign = 1 if lowest else -1
+    dominates = le if lowest else ge
     kept: list[tuple[int, ...]] = []
-    for v in sorted(set(vectors), key=lambda v: sign * sum(v)):
-        if not any(all(sign * (a - b) <= 0 for a, b in zip(k, v)) for k in kept):
+    # sorted is stable with reverse too: vectors of equal sum keep the set's order
+    for v in sorted(set(vectors), key=sum, reverse=not lowest):
+        if not any(all(map(dominates, k, v)) for k in kept):
             kept.append(v)
     return kept

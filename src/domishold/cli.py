@@ -235,6 +235,9 @@ def cmd_equivalence(args) -> int:
     if args.census is not None:
         from .graphs import all_graphs
 
+        if args.census < 0:
+            raise ValueError(f"--census order must be non-negative, got {args.census}")
+
         disagreements = 0
         total = 0
         for n in range(args.census + 1):

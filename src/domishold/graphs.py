@@ -2,7 +2,7 @@
 induced-subgraph machinery and generators everything downstream consumes.
 
 Graphs are values: every operation returns a fresh graph and nothing here
-mutates shared state, so results can be cached and certificates stay valid.
+mutates shared state, so certificates stay valid.
 """
 
 from __future__ import annotations
@@ -242,10 +242,14 @@ def threshold_from_sequence(seq: Iterable[str]) -> Graph:
 
 
 def random_threshold(seed: int, n: int) -> Graph:
-    """Seeded random threshold graph on n vertices (random creation sequence)."""
+    """Seeded random threshold graph on n vertices (random creation sequence
+    starting with an isolated vertex; n = 0 gives the empty graph)."""
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    if n == 0:
+        return Graph(())
     rng = random.Random(seed)
-    seq = ["i"] + [rng.choice("iu") for _ in range(max(0, n - 1))]
-    return threshold_from_sequence(seq)
+    return threshold_from_sequence(["i"] + [rng.choice("iu") for _ in range(n - 1)])
 
 
 def generate(family: str, *args) -> Graph:

@@ -8,7 +8,7 @@ graphs to their neighborhood hypergraphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .graphs import Graph
 
@@ -146,11 +146,23 @@ def split_incidence_graph(
     Returns (graph, clique side, independent side).
     """
     n, m = H.n, len(H.edges)
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for j, e in enumerate(H.edges):
-        edges += [(v, n + j) for v in sorted(e)]
-    G = Graph.from_edges(n + m, edges)
+    G = _split_graph(n, [_mask(e) for e in H.edges])
     return G, frozenset(range(n)), frozenset(range(n, n + m))
+
+
+def _split_graph(n: int, sets: Sequence[int]) -> Graph:
+    """The split graph on n + len(sets) vertices in which 0..n-1 form a
+    clique and vertex n + j is adjacent to the members of the int-mask set
+    sets[j]; its adjacency is written directly, one pass over the sets."""
+    members = [_elements(s) for s in sets]
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for j, e in enumerate(members, n):
+        for v in e:
+            incident[v].append(j)
+    clique = frozenset(range(n))
+    adj = [clique.union(incident[v]) - {v} for v in range(n)]
+    adj += map(frozenset, members)
+    return Graph(tuple(adj))
 
 
 def independent_neighborhood_hypergraph(
@@ -174,16 +186,23 @@ def independent_neighborhood_hypergraph(
     return Hypergraph.make(len(K), [[index[u] for u in G.adj[v]] for v in sorted(I)])
 
 
+def _reduced_neighborhoods(G: Graph) -> list[int]:
+    """The distinct inclusion-minimal neighborhoods of G as int masks, in
+    the canonical edge order of ``Hypergraph`` (ascending member tuples)."""
+    return sorted(_minimal_masks(map(_mask, G.adj)), key=_elements)
+
+
 def reduced_neighborhood_hypergraph(G: Graph) -> Hypergraph:
     """Distinct vertex neighborhoods that strictly contain no other
     neighborhood; equals the Sperner reduction of the neighborhood multiset.
     """
-    return sperner_reduce(Hypergraph.make(G.n, [G.adj[v] for v in range(G.n)]))
+    return Hypergraph(G.n, tuple(frozenset(_elements(s)) for s in _reduced_neighborhoods(G)))
 
 
 def neighborhood_split_graph(G: Graph) -> Graph:
-    """Split-incidence graph of the reduced neighborhood hypergraph of G."""
-    return split_incidence_graph(reduced_neighborhood_hypergraph(G))[0]
+    """Split-incidence graph of the reduced neighborhood hypergraph of G,
+    built straight from the reduced neighborhood masks."""
+    return _split_graph(G.n, _reduced_neighborhoods(G))
 
 
 def add_universal_vertex(H: Hypergraph) -> Hypergraph:

@@ -109,6 +109,22 @@ def test_generate_round_trip(tmp_path, capsys):
     assert text2 == text
 
 
+def test_generate_random_threshold_of_order_zero_and_negative(capsys):
+    code, text = run(capsys, "generate", "random_threshold", "0", "--seed", "3")
+    assert code == 0 and text == "p graph 0 0\n"
+    assert main(["generate", "random_threshold", "-1", "--seed", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_equivalence_census_rejects_a_negative_order(capsys):
+    for order in ("-1", "-4"):
+        assert main(["equivalence", "--census", order]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+    code, text = run(capsys, "equivalence", "--census", "0")
+    assert code == 0 and text.startswith("census n<=0: 1 graphs, 0 disagreements")
+
+
 def test_generate_from_files(write, capsys, tmp_path):
     p3 = write("p3.g", write_graph(path(3)))
     code, text = run(capsys, "generate", "add_universal", p3)

@@ -195,6 +195,14 @@ def test_random_threshold_generator_output_is_threshold():
         assert is_threshold_graph(G)
 
 
+def test_random_threshold_order_zero_and_negative():
+    assert random_threshold(3, 0) == Graph(())
+    assert random_threshold(3, 1) == Graph((frozenset(),))
+    for n in (-1, -5):
+        with pytest.raises(ValueError):
+            random_threshold(3, n)
+
+
 def test_chordal_examples():
     assert is_chordal(path(7))
     assert is_chordal(star(5))

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from domishold import (
+    Graph,
     Hypergraph,
     add_universal_vertex,
     complete,
@@ -15,6 +16,7 @@ from domishold import (
     is_threshold,
     neighborhood_split_graph,
     path,
+    random_graph,
     reduced_neighborhood_hypergraph,
     remove_universal_vertex,
     split_incidence_graph,
@@ -165,8 +167,6 @@ def test_reduced_neighborhood_examples():
     assert edgesets(reduced_neighborhood_hypergraph(cycle(4))) == [(0, 2), (1, 3)]
     rn = reduced_neighborhood_hypergraph(complete(4))
     assert len(rn.edges) == 4 and all(len(e) == 3 for e in rn.edges)
-    from domishold import Graph
-
     withiso = reduced_neighborhood_hypergraph(Graph.from_edges(3, [(0, 1)]))
     assert withiso.edges == (frozenset(),)
 
@@ -181,6 +181,40 @@ def test_neighborhood_split_graph_examples():
     assert sg4.n == 6
     inde = [v for v in range(6) if len(sg4.adj[v]) == 2]
     assert sorted(sorted(sg4.adj[v]) for v in inde) == [[0, 2], [1, 3]]
+
+
+def reference_split_graph(n, sets):
+    """The split graph of ``split_incidence_graph``'s contract, built from
+    an edge list: 0..n-1 a clique, vertex n + j joined to the members of
+    sets[j]."""
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges += [(v, n + j) for j, e in enumerate(sets) for v in sorted(e)]
+    return Graph.from_edges(n + len(sets), edges)
+
+
+def test_split_graph_builder_matches_edge_list_reference(census6):
+    rng = random.Random(16)
+    graphs = [*census6, *(random_graph(rng, rng.randint(1, 12)) for _ in range(300))]
+    expected = {}  # the split graph depends on the reduced neighborhoods only
+    for G in graphs:
+        key = G.n, minimal_sets(G.adj)  # canonical order
+        if key not in expected:
+            expected[key] = reference_split_graph(*key)
+            multiset = Hypergraph.make(G.n, G.adj)
+            assert reduced_neighborhood_hypergraph(G) == sperner_reduce(multiset) == Hypergraph(*key)
+        assert neighborhood_split_graph(G) == expected[key], G
+    # an isolated vertex makes the empty set the one reduced neighborhood:
+    # a clique on the original vertices plus one isolated vertex
+    sg = neighborhood_split_graph(Graph.from_edges(4, [(0, 1), (1, 2)]))
+    assert sg == Graph.from_edges(5, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+    assert neighborhood_split_graph(Graph(())) == Graph(())
+    for _ in range(200):
+        n = rng.randint(0, 7)
+        hg = random_hypergraph(rng, n, 6, allow_empty_edge=True)
+        hg = Hypergraph(n, hg.edges + hg.edges[: rng.randint(0, 2)])  # duplicates
+        m = len(hg.edges)
+        want = (reference_split_graph(n, hg.edges), frozenset(range(n)), frozenset(range(n, n + m)))
+        assert split_incidence_graph(hg) == want, hg
 
 
 def test_universal_hyper_vertex_examples():
