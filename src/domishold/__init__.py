@@ -18,7 +18,6 @@ from .boolean import (
     verify_summability_witness,
 )
 from .catalog import CatalogEntry, catalog_witness, forbidden_catalog, forbidden_graph
-from .errors import CapabilityError
 from .graphs import (
     Graph,
     add_isolated,
@@ -74,10 +73,4 @@ from .recognition import (
     unique_minimal_tds,
     verify_td_structure,
 )
-from .solvers import (
-    SolveResult,
-    approx_dominating_set,
-    gamma_bruteforce,
-    gamma_t_bruteforce,
-    greedy_min_tds,
-)
+from .solvers import SolveResult, approx_dominating_set, greedy_min_tds

@@ -2,8 +2,7 @@
 recognizers and solvers, and emit human-readable or JSON reports whose
 certificates re-verify through the ``verify`` subcommand.
 
-Exit codes are a stable contract: 0 = yes/success, 1 = no, 2 = error or
-unknown.
+Exit codes are a stable contract: 0 = yes/success, 1 = no, 2 = error.
 """
 
 from __future__ import annotations
@@ -26,9 +25,8 @@ from .boolean import (
     verify_summability_witness,
 )
 from .catalog import forbidden_catalog
-from .errors import CapabilityError
 from .fileio import parse_graph, parse_hypergraph, write_graph
-from .graphs import Graph, generate, is_induced_embedding
+from .graphs import GENERATORS, Graph, all_graphs, generate, is_induced_embedding
 from .hypergraphs import dually_sperner_violation
 from .recognition import (
     TdStructure,
@@ -38,15 +36,21 @@ from .recognition import (
     recognize_td,
     verify_td_structure,
 )
-from .solvers import approx_dominating_set, gamma_bruteforce, gamma_t_bruteforce, greedy_min_tds
+from .solvers import approx_dominating_set, greedy_min_tds
 
 EXIT_YES = 0
 EXIT_NO = 1
 EXIT_ERROR = 2
 
+DEFAULT_SEED = 20130919
 
-def _report_skeleton(args) -> dict:
-    return {
+
+def _reported(fill, args, no: int) -> int:
+    """Run a report command: ``fill(args, report)`` enters the verdict and
+    its certificates into the report and returns the human lines. The call
+    is timed, the report emitted, and the verdict mapped to EXIT_YES or
+    to ``no``."""
+    report = {
         "command": args._argv,
         "verdict": None,
         "structure": None,
@@ -57,60 +61,51 @@ def _report_skeleton(args) -> dict:
         "version": __version__,
         "error": None,
     }
-
-
-def _emit(args, report: dict, human_lines: list[str]) -> None:
-    text = json.dumps(report) if args.json else "\n".join(human_lines)
-    if getattr(args, "out", None):
+    start = time.monotonic()
+    human = fill(args, report)
+    report["elapsed_ms"] = int((time.monotonic() - start) * 1000)
+    text = json.dumps(report) if args.json else "\n".join(human)
+    if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
+    return EXIT_YES if report["verdict"] else no
+
+
+def _certificate(report: dict, result) -> list[str]:
+    """Enter the weight structure or the summability witness of a threshold
+    or total domishold result into the report; return its human lines."""
+    lines = []
+    s, w = result.structure, result.witness
+    if s is not None:
+        report["structure"] = {"weights": list(s.weights), "t": s.t}
+        lines.append(f"weights: {list(s.weights)}  t: {s.t}")
+    if w is not None:
+        report["witness"] = {
+            "kind": "summability",
+            "false_points": [list(p) for p in w.false_points],
+            "true_points": [list(p) for p in w.true_points],
+        }
+        lines.append("2-summability witness found")
+    return lines
 
 
 def _vertices_1based(vertices) -> list[int]:
     return sorted(v + 1 for v in vertices)
 
 
-def _structure_dict(s) -> dict:
-    return {"weights": list(s.weights), "t": s.t}
-
-
-def _summability_dict(w: SummabilityWitness) -> dict:
-    return {
-        "kind": "summability",
-        "false_points": [list(p) for p in w.false_points],
-        "true_points": [list(p) for p in w.true_points],
-    }
-
-
 def _load_graph(path: str) -> Graph:
     return parse_graph(Path(path).read_text(encoding="utf-8"))
 
 
-def cmd_recognize_td(args) -> int:
-    report = _report_skeleton(args)
-    start = time.monotonic()
-    G = _load_graph(args.path)
-    result = recognize_td(G)
-    report["elapsed_ms"] = int((time.monotonic() - start) * 1000)
-    human = [f"total domishold: {result.verdict}"]
+def cmd_recognize_td(args, report: dict) -> list[str]:
+    result = recognize_td(_load_graph(args.path))
     report["verdict"] = result.verdict
-    if result.structure is not None:
-        report["structure"] = _structure_dict(result.structure)
-        human.append(f"weights: {list(result.structure.weights)}  t: {result.structure.t}")
-    if result.witness is not None:
-        report["witness"] = _summability_dict(result.witness)
-        human.append("2-summability witness on the neighborhood function found")
-    _emit(args, report, human)
-    return EXIT_YES if result.verdict else EXIT_NO
+    return [f"total domishold: {result.verdict}", *_certificate(report, result)]
 
 
-def cmd_recognize_htd(args) -> int:
-    report = _report_skeleton(args)
-    start = time.monotonic()
-    G = _load_graph(args.path)
-    result = recognize_htd(G)
-    report["elapsed_ms"] = int((time.monotonic() - start) * 1000)
+def cmd_recognize_htd(args, report: dict) -> list[str]:
+    result = recognize_htd(_load_graph(args.path))
     report["verdict"] = result.verdict
     human = [f"hereditary total domishold: {result.verdict} (route: {result.note})"]
     if result.witness is not None:
@@ -123,145 +118,80 @@ def cmd_recognize_htd(args) -> int:
             "embedding": [v + 1 for v in image],
         }
         human.append(f"induced F{index} ({name}) on vertices {[v + 1 for v in image]}")
-    _emit(args, report, human)
-    return EXIT_YES if result.verdict else EXIT_NO
+    return human
 
 
-def cmd_solve(args) -> int:
-    report = _report_skeleton(args)
-    start = time.monotonic()
-
-    def emit(lines):
-        report["elapsed_ms"] = int((time.monotonic() - start) * 1000)
-        _emit(args, report, lines)
-
+def cmd_solve(args, report: dict) -> list[str]:
     G = _load_graph(args.path)
-    human: list[str] = []
     if args.tds:
         rec = recognize_td(G)
         if not rec.verdict:
             report["verdict"] = False
-            human.append("graph is not total domishold")
-            emit(human)
-            return EXIT_NO
+            return ["graph is not total domishold"]
         result = greedy_min_tds(G, rec.structure)
-        report["structure"] = _structure_dict(rec.structure)
+        _certificate(report, rec)  # the structure goes into the report, not the human lines
     else:
         result = approx_dominating_set(G)
-    solution = {
-        "vertices": _vertices_1based(result.vertices),
-        "size": result.size,
-        "method": result.method,
-    }
-    human.append(f"{result.method} solution: {solution['vertices']} (size {result.size})")
-    if args.oracle:
-        oracle = (
-            gamma_t_bruteforce(G, args.max_oracle_n)
-            if args.tds
-            else gamma_bruteforce(G, args.max_oracle_n)
-        )
-        agrees = (
-            oracle.size == result.size if args.tds else result.size <= 2 * oracle.size
-        )
-        solution["oracle_size"] = oracle.size
-        solution["agrees"] = agrees
-        human.append(f"oracle size: {oracle.size} ({'ok' if agrees else 'MISMATCH'})")
-        if not agrees:
-            report["solution"] = solution
-            report["error"] = "solver disagrees with brute-force oracle"
-            emit(human)
-            return EXIT_ERROR
+    vertices = _vertices_1based(result.vertices)
     report["verdict"] = True
-    report["solution"] = solution
-    emit(human)
-    return EXIT_YES
+    report["solution"] = {"vertices": vertices, "size": result.size, "method": result.method}
+    return [f"{result.method} solution: {vertices} (size {result.size})"]
 
 
-def cmd_hypergraph(args) -> int:
-    report = _report_skeleton(args)
-    start = time.monotonic()
+def cmd_hypergraph(args, report: dict) -> list[str]:
     H = parse_hypergraph(Path(args.path).read_text(encoding="utf-8"))
-    human: list[str] = []
     if args.dually_sperner:
         pair = dually_sperner_violation(H)
         report["verdict"] = pair is None
-        human.append(f"dually Sperner: {pair is None}")
+        human = [f"dually Sperner: {pair is None}"]
         if pair is not None:
-            report["witness"] = {
-                "kind": "dually_sperner_violation",
-                "edges": [_vertices_1based(pair[0]), _vertices_1based(pair[1])],
-            }
-            human.append(
-                f"violating pair: {_vertices_1based(pair[0])} / {_vertices_1based(pair[1])}"
-            )
-    else:
-        result = is_threshold(dnf_of_hypergraph(H))
-        report["verdict"] = result.is_threshold
-        human.append(f"threshold: {result.is_threshold}")
-        if result.structure is not None:
-            report["structure"] = _structure_dict(result.structure)
-            human.append(
-                f"weights: {list(result.structure.weights)}  t: {result.structure.t}"
-            )
-        if result.witness is not None:
-            report["witness"] = _summability_dict(result.witness)
-            human.append("2-summability witness found")
-    report["elapsed_ms"] = int((time.monotonic() - start) * 1000)
-    _emit(args, report, human)
-    return EXIT_YES if report["verdict"] else EXIT_NO
+            edges = [_vertices_1based(pair[0]), _vertices_1based(pair[1])]
+            report["witness"] = {"kind": "dually_sperner_violation", "edges": edges}
+            human.append(f"violating pair: {edges[0]} / {edges[1]}")
+        return human
+    result = is_threshold(dnf_of_hypergraph(H))
+    report["verdict"] = result.is_threshold
+    return [f"threshold: {result.is_threshold}", *_certificate(report, result)]
+
+
+def cmd_equivalence(args, report: dict) -> list[str]:
+    if args.census is None:
+        chain = check_equivalence_chain(_load_graph(args.path))
+        report["legs"] = chain.as_dict()
+        report["verdict"] = chain.unanimous()
+        marks = "  ".join(f"({name}) {'+' if leg else '-'}" for name, leg in chain.as_dict().items())
+        return [marks, f"unanimous: {chain.unanimous()}"]
+    if args.census < 0:
+        raise ValueError(f"--census order must be non-negative, got {args.census}")
+    total = disagreements = 0
+    for n in range(args.census + 1):
+        for G in all_graphs(n):
+            total += 1
+            disagreements += not check_equivalence_chain(G).unanimous()
+    report["legs"] = {"census_graphs": total, "disagreements": disagreements}
+    report["verdict"] = disagreements == 0
+    return [f"census n<={args.census}: {total} graphs, {disagreements} disagreements"]
 
 
 def cmd_generate(args) -> int:
-    family = args.family
-    params: list = list(args.params)
-    file_families = {"add_universal", "add_isolated", "add_pendant", "disjoint_union", "join"}
-    if family in file_families:
+    family, params = args.family, list(args.params)
+    kinds = GENERATORS[family][1] if family in GENERATORS else ()
+    if Graph in kinds:
         params = [_load_graph(p) for p in params]
-    if family == "random_threshold":
-        # parameter order (seed, n); the seed defaults to --seed
-        params = [args.seed, int(params[0])]
-    G = generate(family, *params)
-    text = write_graph(G)
+    seed = args.seed
+    if family == "random_threshold" and seed is None:
+        # read per call: the parser is shared by every call of main
+        raw = os.environ.get("DOMISHOLD_SEED", str(DEFAULT_SEED))
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise ValueError(f"DOMISHOLD_SEED must be an integer, got {raw!r}") from None
+    text = write_graph(generate(family, *params, seed=seed))
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return EXIT_YES
-
-
-def cmd_equivalence(args) -> int:
-    report = _report_skeleton(args)
-    start = time.monotonic()
-    if args.census is not None:
-        from .graphs import all_graphs
-
-        if args.census < 0:
-            raise ValueError(f"--census order must be non-negative, got {args.census}")
-
-        disagreements = 0
-        total = 0
-        for n in range(args.census + 1):
-            for G in all_graphs(n):
-                total += 1
-                if not check_equivalence_chain(G).unanimous():
-                    disagreements += 1
-        report["legs"] = {"census_graphs": total, "disagreements": disagreements}
-        report["verdict"] = disagreements == 0
-        report["elapsed_ms"] = int((time.monotonic() - start) * 1000)
-        _emit(
-            args,
-            report,
-            [f"census n<={args.census}: {total} graphs, {disagreements} disagreements"],
-        )
-        return EXIT_YES if disagreements == 0 else EXIT_ERROR
-    G = _load_graph(args.path)
-    chain = check_equivalence_chain(G)
-    report["legs"] = chain.as_dict()
-    report["verdict"] = chain.unanimous()
-    report["elapsed_ms"] = int((time.monotonic() - start) * 1000)
-    marks = "  ".join(f"({name}) {'+' if leg else '-'}" for name, leg in chain.as_dict().items())
-    _emit(args, report, [marks, f"unanimous: {chain.unanimous()}"])
-    return EXIT_YES if chain.unanimous() else EXIT_ERROR
 
 
 def cmd_verify(args) -> int:
@@ -310,14 +240,19 @@ def _report_checks(text: str, report: dict) -> list[tuple[str, bool]]:
         f = dnf_of_hypergraph(H) if is_hypergraph else neighborhood_dnf(G)
         checks.append(("summability witness", verify_summability_witness(f, _witness_from_dict(witness))))
     elif kind == "dually_sperner_violation" and is_hypergraph:
-        e, g = (frozenset(v - 1 for v in edge) for edge in witness["edges"])
+        e, g = (
+            frozenset(v - 1 for v in _integers(edge, "vertex numbers"))
+            for edge in witness["edges"]
+        )
         ok = e in H.edges and g in H.edges and len(e - g) > 1 and len(g - e) > 1
         checks.append(("dually Sperner violation", ok))
     elif kind == "forbidden_subgraph" and not is_hypergraph:
-        index = witness["index"]
+        index, *embedding = _integers(
+            [witness["index"], *witness["embedding"]], "the catalog index and vertex numbers"
+        )
         if not 1 <= index <= len(forbidden_catalog()):
             raise ValueError(f"malformed report: no catalog graph F{index}")
-        image = tuple(v - 1 for v in witness["embedding"])
+        image = tuple(v - 1 for v in embedding)
         pattern = forbidden_catalog()[index - 1].graph
         checks.append(("forbidden subgraph embedding", is_induced_embedding(G, pattern, image)))
     # the structures are the certificates of a yes, the witnesses of a no
@@ -326,13 +261,19 @@ def _report_checks(text: str, report: dict) -> list[tuple[str, bool]]:
     return checks
 
 
+def _integers(values, what: str) -> list[int]:
+    """The values as a list; one that is not an int (a bool or a float
+    included) makes the report malformed."""
+    values = list(values)
+    if any(type(x) is not int for x in values):
+        raise ValueError(f"malformed report: {what} must be integers")
+    return values
+
+
 def _integral_structure(d: dict) -> tuple[tuple[int, ...], int]:
-    """The weights and threshold of a reported structure; a value that is
-    not an int (a bool or a float included) makes the report malformed."""
-    weights, t = tuple(d["weights"]), d["t"]
-    if any(type(x) is not int for x in (*weights, t)):
-        raise ValueError("malformed report: structure values must be integers")
-    return weights, t
+    """The weights and threshold of a reported structure."""
+    *weights, t = _integers([*d["weights"], d["t"]], "structure values")
+    return tuple(weights), t
 
 
 def _witness_from_dict(d: dict) -> SummabilityWitness:
@@ -347,74 +288,66 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the report to a file instead of stdout")
 
 
-DEFAULT_SEED = 20130919
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser of every subcommand.
 
     It reads nothing from the environment, so one parser is built per
     process, on the first ``main`` call, and reused by every later call.
-    The ``--seed`` default is left as None and resolved by ``main``.
     """
     parser = argparse.ArgumentParser(
         prog="domishold",
         description="Recognition and solving toolkit for total domishold graphs, "
         "threshold hypergraphs and threshold positive Boolean functions.",
     )
-    seed_parent = argparse.ArgumentParser(add_help=False)
-    seed_parent.add_argument(
-        "--seed",
-        type=int,
-        help=f"random seed (default: $DOMISHOLD_SEED, else {DEFAULT_SEED})",
-    )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[seed_parent], **kwargs)
+    def add_report_parser(name, fill, help, no=EXIT_NO):
+        p = sub.add_parser(name, help=help)
+        _add_common(p)
+        p.set_defaults(func=functools.partial(_reported, fill, no=no))
+        return p
 
-    p = add_parser("recognize-td", help="total domishold recognition with certificate")
+    p = add_report_parser("recognize-td", cmd_recognize_td, "total domishold recognition with certificate")
     p.add_argument("path")
-    _add_common(p)
-    p.set_defaults(func=cmd_recognize_td)
 
-    p = add_parser("recognize-htd", help="hereditary recognition via the forbidden catalog")
+    p = add_report_parser("recognize-htd", cmd_recognize_htd, "hereditary recognition via the forbidden catalog")
     p.add_argument("path")
-    _add_common(p)
-    p.set_defaults(func=cmd_recognize_htd)
 
-    p = add_parser("solve", help="minimum total dominating set / approximate dominating set")
+    p = add_report_parser("solve", cmd_solve, "minimum total dominating set / approximate dominating set")
     p.add_argument("path")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--tds", action="store_true", help="minimum total dominating set")
     group.add_argument("--ds", action="store_true", help="2-approximate dominating set")
-    p.add_argument("--oracle", action="store_true", help="cross-check with brute force")
-    p.add_argument("--max-oracle-n", type=int, default=16)
-    _add_common(p)
-    p.set_defaults(func=cmd_solve)
 
-    p = add_parser("hypergraph", help="threshold / dually Sperner hypergraph tests")
+    p = add_report_parser("hypergraph", cmd_hypergraph, "threshold / dually Sperner hypergraph tests")
     p.add_argument("path")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--threshold", action="store_true")
     group.add_argument("--dually-sperner", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=cmd_hypergraph)
 
-    p = add_parser("generate", help="write a generated graph in the graph file format")
+    p = sub.add_parser("generate", help="write a generated graph in the graph file format")
     p.add_argument("family")
     p.add_argument("params", nargs="*")
     p.add_argument("--out")
+    p.add_argument(
+        "--seed",
+        type=int,
+        help=f"seed of random_threshold (default: $DOMISHOLD_SEED, else {DEFAULT_SEED})",
+    )
     p.set_defaults(func=cmd_generate)
 
-    p = add_parser("equivalence", help="graph and split-incidence total domishold verdicts")
-    p.add_argument("path", nargs="?")
-    p.add_argument("--census", type=int, help="sweep all labeled graphs up to this order")
-    _add_common(p)
-    p.set_defaults(func=cmd_equivalence)
+    p = add_report_parser(
+        "equivalence",
+        cmd_equivalence,
+        "graph and split-incidence total domishold verdicts",
+        no=EXIT_ERROR,
+    )
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("path", nargs="?")
+    group.add_argument("--census", type=int, help="sweep all labeled graphs up to this order")
 
-    p = add_parser("verify", help="re-verify certificates from an emitted JSON report")
+    p = sub.add_parser("verify", help="re-verify certificates from an emitted JSON report")
     p.add_argument("path", help="the original graph or hypergraph file")
     p.add_argument("report", help="the JSON report to check")
     p.set_defaults(func=cmd_verify)
@@ -423,24 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand and return its exit code.
-
-    The parser is built once per process and shared by every call; the
-    ``--seed`` default is resolved per call from ``DOMISHOLD_SEED``.
-    """
+    """Run one subcommand and return its exit code; the parser is built
+    once per process and shared by every call."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     args._argv = argv
-    if args.subcommand == "equivalence" and args.path is None and args.census is None:
-        parser.error("equivalence needs a graph file or --census N")
     try:
-        if args.seed is None:
-            args.seed = int(os.environ.get("DOMISHOLD_SEED", DEFAULT_SEED))
         return args.func(args)
-    except CapabilityError as exc:
-        print(f"unknown: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -68,29 +68,36 @@ def write_graph(G: Graph) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_hypergraph(text: str) -> Hypergraph:
-    """Parse the 'p hgraph <n> <m>' format with 'h <v1> <v2> ...' edge lines
-    (possibly empty after 'h')."""
+def _parse_set_lines(text: str, kind: str, keyword: str, sets: str, members: str):
+    """The order and the 0-based member lists of the 'p <kind> <n> <m>'
+    format with '<keyword> <v1> ...' lines; ``sets`` and ``members`` name
+    the lines and their entries in error messages."""
     lines = list(_content_lines(text))
     if not lines:
         raise ParseError(0, "empty input")
     line_no, header = lines[0]
-    n, m = _parse_header(line_no, header, "hgraph")
+    n, m = _parse_header(line_no, header, kind)
     if len(lines) - 1 != m:
-        raise ParseError(line_no, f"header announces {m} edges, found {len(lines) - 1}")
-    edges = []
+        raise ParseError(line_no, f"header announces {m} {sets}, found {len(lines) - 1}")
+    family = []
     for line_no, line in lines[1:]:
         parts = line.split()
-        if not parts or parts[0] != "h":
-            raise ParseError(line_no, f"expected 'h <v1> ...', got {line!r}")
+        if not parts or parts[0] != keyword:
+            raise ParseError(line_no, f"expected '{keyword} <v1> ...', got {line!r}")
         try:
-            members = [int(p) for p in parts[1:]]
+            vertices = [int(p) for p in parts[1:]]
         except ValueError:
-            raise ParseError(line_no, "edge members must be integers") from None
-        if any(not 1 <= v <= n for v in members):
-            raise ParseError(line_no, f"edge members must be in 1..{n}")
-        edges.append([v - 1 for v in members])
-    return Hypergraph.make(n, edges)
+            raise ParseError(line_no, f"{members} must be integers") from None
+        if any(not 1 <= v <= n for v in vertices):
+            raise ParseError(line_no, f"{members} must be in 1..{n}")
+        family.append([v - 1 for v in vertices])
+    return n, family
+
+
+def parse_hypergraph(text: str) -> Hypergraph:
+    """Parse the 'p hgraph <n> <m>' format with 'h <v1> <v2> ...' edge lines
+    (possibly empty after 'h')."""
+    return Hypergraph.make(*_parse_set_lines(text, "hgraph", "h", "edges", "edge members"))
 
 
 def write_hypergraph(H: Hypergraph) -> str:
@@ -104,26 +111,7 @@ def parse_dnf(text: str) -> PositiveDNF:
     """Parse the 'p dnf <n> <m>' format with 'i <v1> ...' implicant lines
     (empty after 'i' is the empty implicant); terms are minimized to the
     complete DNF."""
-    lines = list(_content_lines(text))
-    if not lines:
-        raise ParseError(0, "empty input")
-    line_no, header = lines[0]
-    n, m = _parse_header(line_no, header, "dnf")
-    if len(lines) - 1 != m:
-        raise ParseError(line_no, f"header announces {m} terms, found {len(lines) - 1}")
-    terms = []
-    for line_no, line in lines[1:]:
-        parts = line.split()
-        if not parts or parts[0] != "i":
-            raise ParseError(line_no, f"expected 'i <v1> ...', got {line!r}")
-        try:
-            members = [int(p) for p in parts[1:]]
-        except ValueError:
-            raise ParseError(line_no, "term variables must be integers") from None
-        if any(not 1 <= v <= n for v in members):
-            raise ParseError(line_no, f"term variables must be in 1..{n}")
-        terms.append([v - 1 for v in members])
-    return make_dnf(n, terms)
+    return make_dnf(*_parse_set_lines(text, "dnf", "i", "terms", "term variables"))
 
 
 def write_dnf(f: PositiveDNF) -> str:

@@ -252,35 +252,46 @@ def random_threshold(seed: int, n: int) -> Graph:
     return threshold_from_sequence(["i"] + [rng.choice("iu") for _ in range(n - 1)])
 
 
-def generate(family: str, *args) -> Graph:
-    """Dispatch a named generator; see the CLI for the string parameter forms."""
-    if family == "complete":
-        return complete(int(args[0]))
-    if family == "path":
-        return path(int(args[0]))
-    if family == "cycle":
-        return cycle(int(args[0]))
-    if family == "star":
-        return star(int(args[0]))
-    if family == "disjoint_union":
-        return disjoint_union(args[0], args[1])
-    if family == "join":
-        return join(args[0], args[1])
-    if family == "add_universal":
-        return add_universal(args[0])
-    if family == "add_isolated":
-        return add_isolated(args[0])
-    if family == "add_pendant":
-        return add_pendant(args[0])
-    if family == "forbidden":
-        from .catalog import forbidden_graph
+def _forbidden(index: int) -> Graph:
+    from .catalog import forbidden_graph  # the catalog imports this module
 
-        return forbidden_graph(int(args[0]))
-    if family == "threshold_from_sequence":
-        return threshold_from_sequence(args[0])
+    return forbidden_graph(index)
+
+
+# The named generator families: the constructor and the type of each
+# parameter. ``random_threshold`` takes its seed apart, as the keyword
+# ``seed`` of ``generate``.
+GENERATORS = {
+    "complete": (complete, (int,)),
+    "path": (path, (int,)),
+    "cycle": (cycle, (int,)),
+    "star": (star, (int,)),
+    "forbidden": (_forbidden, (int,)),
+    "threshold_from_sequence": (threshold_from_sequence, (str,)),
+    "random_threshold": (random_threshold, (int,)),
+    "add_universal": (add_universal, (Graph,)),
+    "add_isolated": (add_isolated, (Graph,)),
+    "add_pendant": (add_pendant, (Graph,)),
+    "disjoint_union": (disjoint_union, (Graph, Graph)),
+    "join": (join, (Graph, Graph)),
+}
+
+
+def generate(family: str, *params, seed: Optional[int] = None) -> Graph:
+    """The graph of a named family from its parameters, typed as listed in
+    ``GENERATORS``; an int may also be given as a decimal string. An unknown
+    family, a wrong number of parameters or a missing seed is a ValueError."""
+    if family not in GENERATORS:
+        raise ValueError(f"unknown graph family {family!r}")
+    build, kinds = GENERATORS[family]
+    if len(params) != len(kinds):
+        raise ValueError(f"{family} takes {len(kinds)} parameter(s), got {len(params)}")
+    values = [int(p) if kind is int else p for kind, p in zip(kinds, params)]
     if family == "random_threshold":
-        return random_threshold(int(args[0]), int(args[1]))
-    raise ValueError(f"unknown graph family {family!r}")
+        if seed is None:
+            raise ValueError("random_threshold needs a seed")
+        values.insert(0, seed)
+    return build(*values)
 
 
 # ---------------------------------------------------------------------------

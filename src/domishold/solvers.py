@@ -1,26 +1,21 @@
 """Domination solvers: the weight-greedy minimum total dominating set for
-graphs given with a total domishold structure, brute-force oracles for the
-domination numbers, and the 2-approximation for dominating set on total
-domishold graphs.
+graphs given with a total domishold structure, and the 2-approximation for
+dominating set on total domishold graphs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .errors import CapabilityError
-from .graphs import Graph, induced_subgraph, is_dominating_set, is_total_dominating_set
+from .graphs import Graph, induced_subgraph
 from .recognition import TdStructure, recognize_td, verify_td_structure
-
-ORACLE_CAP = 16
 
 
 @dataclass(frozen=True)
 class SolveResult:
     vertices: frozenset[int]
     size: int
-    method: str  # greedy | brute | approx
+    method: str  # greedy | approx
 
 
 def greedy_min_tds(G: Graph, s: TdStructure) -> SolveResult:
@@ -43,31 +38,6 @@ def greedy_min_tds(G: Graph, s: TdStructure) -> SolveResult:
     if total < s.t:
         raise AssertionError("total weight below threshold: structure cannot verify")
     return SolveResult(frozenset(chosen), len(chosen), "greedy")
-
-
-def gamma_t_bruteforce(G: Graph, max_n: int = ORACLE_CAP) -> SolveResult:
-    """Exact total domination number by subset enumeration in increasing
-    cardinality; the lexicographically first optimum is returned."""
-    if G.n > max_n:
-        raise CapabilityError(f"brute force capped at {max_n} vertices")
-    if G.has_isolated_vertex():
-        raise ValueError("graphs with isolated vertices have no total dominating sets")
-    for size in range(G.n + 1):
-        for S in combinations(range(G.n), size):
-            if is_total_dominating_set(G, S):
-                return SolveResult(frozenset(S), size, "brute")
-    raise AssertionError("the full vertex set must be total dominating")
-
-
-def gamma_bruteforce(G: Graph, max_n: int = ORACLE_CAP) -> SolveResult:
-    """Exact domination number by subset enumeration in increasing size."""
-    if G.n > max_n:
-        raise CapabilityError(f"brute force capped at {max_n} vertices")
-    for size in range(G.n + 1):
-        for S in combinations(range(G.n), size):
-            if is_dominating_set(G, S):
-                return SolveResult(frozenset(S), size, "brute")
-    raise AssertionError("the full vertex set is always dominating")
 
 
 def approx_dominating_set(G: Graph) -> SolveResult:

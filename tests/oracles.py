@@ -1,6 +1,7 @@
 """Reference routines the library is tested against: exhaustive 2^n
 sweeps of the certificates, Berge dualization, the k-summability search,
-the (1,2)-polarity search and the frozenset minimisation of set families.
+the (1,2)-polarity search, the frozenset minimisation of set families and
+the subset enumerations of the domination and total domination numbers.
 
 They share no code with the polynomial routines they are tested against,
 and are meant for small inputs only; the capped ones raise
@@ -9,7 +10,7 @@ and are meant for small inputs only; the capped ones raise
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 from typing import Iterable, Optional, Sequence
 
@@ -18,14 +19,21 @@ from domishold import (
     Hypergraph,
     PositiveDNF,
     SeparatingStructure,
+    SolveResult,
     SummabilityWitness,
     TdStructure,
     evaluate,
+    is_dominating_set,
+    is_total_dominating_set,
 )
-from domishold.errors import CapabilityError
 
 DEFAULT_DUAL_CAP = 200_000
 SUMMABILITY_WORK_CAP = 5_000_000
+ORACLE_CAP = 16
+
+
+class CapabilityError(Exception):
+    """A size cap or work cap of an oracle was exceeded; it gives no answer."""
 
 
 def subset_weights(n: int, weights: Sequence[int]) -> list[int]:
@@ -184,3 +192,28 @@ def is_12_polar(G: Graph, max_n: int = 20) -> bool:
         return True
 
     return solve(frozenset())
+
+
+def gamma_t_bruteforce(G: Graph, max_n: int = ORACLE_CAP) -> SolveResult:
+    """Exact total domination number by subset enumeration in increasing
+    cardinality; the lexicographically first optimum is returned."""
+    if G.n > max_n:
+        raise CapabilityError(f"brute force capped at {max_n} vertices")
+    if G.has_isolated_vertex():
+        raise ValueError("graphs with isolated vertices have no total dominating sets")
+    for size in range(G.n + 1):
+        for S in combinations(range(G.n), size):
+            if is_total_dominating_set(G, S):
+                return SolveResult(frozenset(S), size, "brute")
+    raise AssertionError("the full vertex set must be total dominating")
+
+
+def gamma_bruteforce(G: Graph, max_n: int = ORACLE_CAP) -> SolveResult:
+    """Exact domination number by subset enumeration in increasing size."""
+    if G.n > max_n:
+        raise CapabilityError(f"brute force capped at {max_n} vertices")
+    for size in range(G.n + 1):
+        for S in combinations(range(G.n), size):
+            if is_dominating_set(G, S):
+                return SolveResult(frozenset(S), size, "brute")
+    raise AssertionError("the full vertex set is always dominating")

@@ -24,8 +24,6 @@ from domishold import (
     find_induced,
     forbidden_catalog,
     forbidden_graph,
-    gamma_bruteforce,
-    gamma_t_bruteforce,
     greedy_min_tds,
     induced_subgraph,
     is_chordal,
@@ -52,7 +50,7 @@ from domishold.corpus import (
 from domishold.solvers import approx_dominating_set
 
 from conftest import htd_bruteforce
-from oracles import is_12_polar, is_k_summable
+from oracles import gamma_bruteforce, gamma_t_bruteforce, is_12_polar, is_k_summable
 
 SEED = 20130919
 

@@ -12,9 +12,8 @@ from domishold import (
     verify_separating_structure,
     verify_summability_witness,
 )
-from domishold.errors import CapabilityError
 
-from oracles import dual, is_k_summable, maximal_false_points, minimal_sets
+from oracles import CapabilityError, dual, is_k_summable, maximal_false_points, minimal_sets
 
 
 def impl(f):

@@ -70,11 +70,11 @@ def test_recognize_htd_exit_codes(write, capsys):
 
 def test_solve_commands(write, capsys):
     k4 = write("k4.g", write_graph(complete(4)))
-    code, report = run_json(capsys, "solve", k4, "--tds", "--oracle")
+    code, report = run_json(capsys, "solve", k4, "--tds")
     assert code == 0 and report["solution"]["size"] == 2
-    assert report["solution"]["agrees"] is True
+    assert report["structure"] == {"weights": [1, 1, 1, 1], "t": 2}
     star = write("star.g", "p graph 4 3\ne 1 2\ne 1 3\ne 1 4\n")
-    code, report = run_json(capsys, "solve", star, "--ds", "--oracle")
+    code, report = run_json(capsys, "solve", star, "--ds")
     assert code == 0 and report["solution"]["size"] <= 2
     c4 = write("c4.g", write_graph(cycle(4)))
     assert run(capsys, "solve", c4, "--tds")[0] == 1
@@ -114,6 +114,29 @@ def test_generate_random_threshold_of_order_zero_and_negative(capsys):
     assert code == 0 and text == "p graph 0 0\n"
     assert main(["generate", "random_threshold", "-1", "--seed", "3"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_generate_checks_the_number_of_parameters(write, capsys):
+    p3 = write("p3.g", write_graph(path(3)))
+    for family, params in [
+        ("complete", ["3"]),
+        ("path", ["3"]),
+        ("cycle", ["3"]),
+        ("star", ["3"]),
+        ("forbidden", ["3"]),
+        ("threshold_from_sequence", ["iu"]),
+        ("random_threshold", ["3"]),
+        ("add_universal", [p3]),
+        ("add_isolated", [p3]),
+        ("add_pendant", [p3]),
+        ("disjoint_union", [p3, p3]),
+        ("join", [p3, p3]),
+    ]:
+        assert run(capsys, "generate", family, *params, "--seed", "1")[0] == 0, family
+        for wrong in (params[:-1], params + params[:1]):
+            assert main(["generate", family, *wrong, "--seed", "1"]) == 2, (family, wrong)
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error:") and captured.out == "", (family, wrong)
 
 
 def test_equivalence_census_rejects_a_negative_order(capsys):
@@ -248,6 +271,28 @@ def test_seed_env_variable_is_default(write, capsys, monkeypatch):
     assert code5 == code6 == 0 and text5 == text6
 
 
+def test_a_malformed_seed_only_matters_to_random_threshold(write, capsys, tmp_path, monkeypatch):
+    k4 = write("k4.g", write_graph(complete(4)))
+    h = write("h.h", write_hypergraph(Hypergraph.make(3, [[0, 1], [0, 2]])))
+    rep = str(tmp_path / "r.json")
+    calls = [
+        ["recognize-td", k4, "--json", "--out", rep],
+        ["verify", k4, rep],
+        ["recognize-htd", k4],
+        ["solve", k4, "--tds"],
+        ["hypergraph", h, "--threshold"],
+        ["equivalence", k4],
+        ["generate", "complete", "3"],
+        ["generate", "random_threshold", "5", "--seed", "4"],
+    ]
+    plain = [run(capsys, *argv) for argv in calls]
+    monkeypatch.setenv("DOMISHOLD_SEED", "abc")
+    assert [run(capsys, *argv) for argv in calls] == plain
+    assert [code for code, _ in plain] == [0] * len(calls)
+    assert main(["generate", "random_threshold", "5"]) == 2
+    assert capsys.readouterr().err.startswith("error: DOMISHOLD_SEED")
+
+
 def _call_outputs(capsys, tmp_path, argv):
     """Exit code, stdout, stderr and written files of one call, with the
     timing field dropped from JSON reports."""
@@ -274,16 +319,17 @@ def test_calls_do_not_depend_on_earlier_calls(write, capsys, tmp_path):
     p4 = write("p4.g", write_graph(path(4)))
     star = write("star.g", "p graph 4 3\ne 1 2\ne 1 3\ne 1 4\n")
     h = write("h.h", write_hypergraph(Hypergraph.make(3, [[0, 1], [0, 2]])))
+    bad = write("bad.g", "p graph 2 1\ne 1 3\n")
     out = str(tmp_path / "report.out")
     calls = [
         ["recognize-td", k4, "--json", "--out", out],
         ["recognize-td", k4],
         ["recognize-td", c4],
         ["recognize-td", c4, "--json"],
-        ["solve", k4, "--tds", "--oracle", "--json"],
+        ["solve", k4, "--tds", "--json"],
         ["solve", star, "--ds"],
         ["solve", c4, "--tds", "--out", out],
-        ["solve", k4, "--ds", "--oracle", "--max-oracle-n", "2"],
+        ["solve", bad, "--ds"],
         ["equivalence", p4, "--json"],
         ["equivalence", "--census", "3"],
         ["equivalence", "--census", "3", "--json", "--out", out],
@@ -303,18 +349,12 @@ def test_calls_do_not_depend_on_earlier_calls(write, capsys, tmp_path):
 
 def test_usage_errors_exit_2_after_earlier_calls(write, capsys):
     k4 = write("k4.g", write_graph(complete(4)))
-    for argv in (["mystery", k4], ["solve", k4], ["equivalence"]):
+    for argv in (["mystery", k4], ["solve", k4], ["equivalence"], ["equivalence", k4, "--census", "3"]):
         assert main(["recognize-td", k4]) == 0
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
         assert "usage:" in capsys.readouterr().err, argv
-
-
-def test_max_oracle_n_cap_propagates(write, capsys):
-    k4 = write("k4.g", write_graph(complete(4)))
-    assert main(["solve", k4, "--tds", "--oracle", "--max-oracle-n", "2"]) == 2
-    capsys.readouterr()
 
 
 def _only_exact_json_numbers(node):
@@ -348,6 +388,24 @@ def test_verify_dually_sperner_violation(write, capsys, tmp_path):
     rep.write_text(json.dumps(doctored))
     assert main(["verify", bad, str(rep)]) == 2
     capsys.readouterr()
+
+
+def test_verify_rejects_vertex_numbers_that_are_not_integers(write, capsys, tmp_path):
+    c4 = write("c4.g", write_graph(cycle(4)))
+    h = write("h.h", "p hgraph 4 2\nh 1 2\nh 3 4\n")
+    rep = tmp_path / "r.json"
+    for path, witness, good in [
+        (c4, {"kind": "forbidden_subgraph", "index": True, "embedding": [1, 2, 4, 3]}, {"index": 1}),
+        (c4, {"kind": "forbidden_subgraph", "index": 1, "embedding": [True, 2, 4, 3]}, {"embedding": [1, 2, 4, 3]}),
+        (h, {"kind": "dually_sperner_violation", "edges": [[1.0, 2.0], [3.0, 4.0]]}, {"edges": [[1, 2], [3, 4]]}),
+        (h, {"kind": "dually_sperner_violation", "edges": [[True, 2], [3, 4]]}, {"edges": [[1, 2], [3, 4]]}),
+    ]:
+        rep.write_text(json.dumps({"verdict": False, "witness": witness}))
+        assert main(["verify", path, str(rep)]) == 2, witness
+        assert capsys.readouterr().err.startswith("error: malformed report"), witness
+        rep.write_text(json.dumps({"verdict": False, "witness": {**witness, **good}}))
+        assert main(["verify", path, str(rep)]) == 0, good
+        capsys.readouterr()
 
 
 def split_incidence_of_weights(seed, k):

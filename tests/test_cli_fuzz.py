@@ -1,12 +1,14 @@
-"""The exit-code contract on arbitrary input: ``recognize-td`` and ``verify``
-answer 0, 1 or 2 on any graph or hypergraph text and any JSON report, and
-never let an exception escape."""
+"""The exit-code contract on arbitrary input: every subcommand answers 0, 1
+or 2 on any graph or hypergraph text, any JSON report and any generator
+parameters, and never lets an exception escape."""
 
 import contextlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -15,6 +17,7 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from domishold.cli import main  # noqa: E402
+from domishold.graphs import GENERATORS  # noqa: E402
 
 printable = st.characters(blacklist_categories=("Cs",))
 json_values = st.recursive(
@@ -95,7 +98,10 @@ def reports(draw):
 
 def run(argv) -> int:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return main(argv)
+        try:
+            return main(argv)
+        except SystemExit as exc:  # a usage error, such as a parameter that reads as an option
+            return exc.code
 
 
 @settings(
@@ -118,3 +124,38 @@ def test_exit_codes_stay_in_contract(text, report, as_json):
             own = json.loads(rep.read_text(encoding="utf-8"))
             if own["structure"] or own["witness"]:
                 assert run(["verify", str(path), str(rep)]) == 0
+
+
+# generator parameters: small ints, creation sequences and junk, and the
+# input file (replaced by its path)
+parameters = st.one_of(
+    st.integers(-2, 12).map(str),
+    st.text("iu, x-", max_size=5),
+    st.just("FILE"),
+)
+
+
+@settings(
+    max_examples=150,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    text=inputs(),
+    family=st.sampled_from([*GENERATORS, "mystery"]),
+    params=st.lists(parameters, max_size=3),
+    seed=st.sampled_from([None, "7", "abc"]),
+)
+def test_other_commands_stay_in_contract(text, family, params, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "input.txt")
+        path.write_text(text, encoding="utf-8")
+        assert run(["recognize-htd", str(path)]) in (0, 1, 2)
+        assert run(["hypergraph", str(path), "--threshold"]) in (0, 1, 2)
+        assert run(["hypergraph", str(path), "--dually-sperner"]) in (0, 1, 2)
+        params = [str(path) if p == "FILE" else p for p in params]
+        env = {} if seed is None else {"DOMISHOLD_SEED": seed}
+        with mock.patch.dict(os.environ, env):
+            assert run(["generate", family, *params]) in (0, 1, 2)

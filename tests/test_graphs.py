@@ -29,10 +29,9 @@ from domishold import (
     threshold_from_sequence,
     unique_minimal_tds,
 )
-from domishold.errors import CapabilityError
 
 from conftest import brute_has_induced
-from oracles import is_12_polar
+from oracles import CapabilityError, is_12_polar
 
 
 def test_graph_invariants_enforced():

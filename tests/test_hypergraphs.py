@@ -24,11 +24,10 @@ from domishold import (
     sperner_reduce,
 )
 from domishold.corpus import random_hypergraph
-from domishold.errors import CapabilityError
 from domishold.hypergraphs import _contains_member, _elements, _index, _minimal_masks
 
 from conftest import brute_minimal_transversals
-from oracles import is_transversal_family, minimal_sets, minimal_transversals
+from oracles import CapabilityError, is_transversal_family, minimal_sets, minimal_transversals
 
 
 def H(n, *edges):

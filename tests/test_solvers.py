@@ -8,8 +8,6 @@ from domishold import (
     approx_dominating_set,
     complete,
     cycle,
-    gamma_bruteforce,
-    gamma_t_bruteforce,
     greedy_min_tds,
     is_dominating_set,
     is_total_dominating_set,
@@ -18,7 +16,8 @@ from domishold import (
     recognize_td,
     star,
 )
-from domishold.errors import CapabilityError
+
+from oracles import CapabilityError, gamma_bruteforce, gamma_t_bruteforce
 
 
 def test_greedy_on_k4():
